@@ -1,13 +1,13 @@
-// Experiment E20: columnar flat-tuple storage + vectorized joins.
+// Experiment E20: columnar flat-tuple storage + word-level joins.
 //
-// Measures the batch columnar executor (EvalOptions::use_columnar =
-// true, the default) against the row-at-a-time enumerator it replaces
-// (use_columnar = false), with the hash join indexes enabled on both
-// sides — so the delta is purely the storage layout and the batched
-// gather/hash/probe/emit loop, not the join algorithm:
-//   * a single-join micro workload isolating per-tuple vs batched
-//     probes (out(X, Z) :- e(X, Y), t(Y, Z)) fired once per storage
-//     mode through FireRuleFacts;
+// Measures the bytecode VM's word cursors (EvalOptions::use_columnar =
+// true, the default) against its row cursors (use_columnar = false),
+// with the VM and the hash join indexes enabled on both sides — so the
+// delta is purely the storage layout and the word-level
+// scan/probe/emit loops, not the executor or the join algorithm:
+//   * a single-join micro workload isolating row-bucket vs word-chain
+//     probes (out(X, Z) :- e(X, Y), t(Y, Z)) fired once per cursor
+//     kind through FireRuleFacts;
 //   * semi-naive transitive closure on a dense random graph (the E15
 //     headline workload, >= 2000 edges over 250 nodes), end to end;
 //   * the same closure with chunked parallel rounds at 1/2/4/8
@@ -53,6 +53,7 @@ datalog::EvalOptions Opts(bool use_columnar, size_t threads = 1) {
   datalog::EvalOptions o;
   o.limits = EvalLimits::Large();
   o.use_columnar = use_columnar;
+  o.use_bytecode = true;  // word cursors live in the VM
   o.num_threads = threads;
   return o;
 }
@@ -72,9 +73,10 @@ double BestMillis(int reps, const Fn& fn) {
 }
 
 // The single-join micro: fire out(X, Z) :- e(X, Y), t(Y, Z) once per
-// storage mode.  Both modes probe a hash index keyed on position 0 of
-// `t`; the columnar side batches the key gather, the hashing and the
-// chain walks over contiguous word columns.
+// cursor kind.  Both probe a hash index keyed on position 0 of `t`;
+// the row cursor packs each key into a tuple Value and walks a bucket
+// of rows, the word cursor hashes raw key words and walks a chain over
+// contiguous word columns.
 Row MicroProbe(int n_left, int n_right) {
   Row row;
   row.name = "probe_micro_" + std::to_string(n_left) + "x" +
@@ -104,6 +106,7 @@ Row MicroProbe(int n_left, int n_right) {
         [](const std::string&, const Value&) { return true; },
         nullptr, /*use_join_index=*/true};
     ctx.use_columnar = columnar;
+    ctx.use_bytecode = true;
     size_t count = 0;
     times[slot] = BestMillis(5, [&] {
       count = 0;
@@ -169,7 +172,7 @@ int main(int argc, char** argv) {
         "tc_parallel_t" + std::to_string(threads), dense, threads));
   }
 
-  std::printf("E20: columnar batch execution vs row-at-a-time\n");
+  std::printf("E20: VM word cursors vs row cursors\n");
   std::printf("%-28s %9s %9s %11s %13s %8s %7s\n", "workload", "facts_in",
               "facts_out", "row (ms)", "columnar (ms)", "speedup", "equal?");
   bool all_equal = true;
@@ -182,8 +185,8 @@ int main(int argc, char** argv) {
 
   const datalog::ColumnarExecStats stats = datalog::GetColumnarExecStats();
   std::printf(
-      "batch executor: %llu batched / %llu row firings, %llu/%llu probe "
-      "hits, %llu facts\n",
+      "word-level firings: %llu word / %llu row firings, %llu/%llu "
+      "word-chain probe hits, %llu facts\n",
       static_cast<unsigned long long>(stats.batch_rules_fired),
       static_cast<unsigned long long>(stats.row_rules_fired),
       static_cast<unsigned long long>(stats.batch_probe_hits),

@@ -194,8 +194,8 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << (preds - columnar_preds) << " row relation(s), ~"
             << column_bytes << " column bytes\n";
   const datalog::ColumnarExecStats es = datalog::GetColumnarExecStats();
-  std::cout << "batch executor: " << es.batch_rules_fired
-            << " batched / " << es.row_rules_fired << " row rule firings, "
+  std::cout << "word-level firings: " << es.batch_rules_fired
+            << " word / " << es.row_rules_fired << " row rule firings, "
             << es.batch_probe_hits << "/" << es.batch_probes
             << " probe hits, " << es.batch_facts << " facts emitted\n";
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();

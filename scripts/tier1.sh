@@ -5,10 +5,11 @@
 # exercises the work-partitioned parallel rounds, with
 # AWR_NO_VALUE_INTERN=1 so the legacy per-instance value/term
 # representation (the hash-consing differential oracle) stays green,
-# with AWR_NO_COLUMNAR=1 so the row-at-a-time storage/join oracle
-# (the columnar differential baseline) stays green, and with
-# AWR_NO_BYTECODE=1 so the tree-walking interpreter (the bytecode VM's
-# parity baseline, DESIGN.md §14) stays green.
+# with AWR_NO_COLUMNAR=1 so the row storage / row-cursor oracle (the
+# columnar differential baseline) stays green, and with
+# AWR_NO_BYTECODE=1 so the tree-walking interpreter (the reference
+# executor and the bytecode VM's parity baseline, DESIGN.md §14) stays
+# green.  Then the benchmark harness's own unit tests (perfbench).
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
 # parallel + property suites under ThreadSanitizer at 4 threads (data
@@ -55,13 +56,17 @@ cmake --build build -j"$(nproc)"
 (cd build && AWR_FORCE_SCAN_JOINS=1 ctest --output-on-failure -j"$(nproc)")
 (cd build && AWR_EVAL_THREADS=4 ctest --output-on-failure -j"$(nproc)")
 (cd build && AWR_NO_VALUE_INTERN=1 ctest --output-on-failure -j"$(nproc)")
-# Row-storage oracle: AWR_NO_COLUMNAR=1 disables the columnar layout and
-# batch executor entirely, so the row-at-a-time path stays green.
+# Row-storage oracle: AWR_NO_COLUMNAR=1 disables the columnar layout,
+# so every VM loop opens on a row cursor and that path stays green.
 (cd build && AWR_NO_COLUMNAR=1 ctest --output-on-failure -j"$(nproc)")
 # Interpreter oracle: AWR_NO_BYTECODE=1 disables the compiled bytecode
-# VM (DESIGN.md §14), so the tree-walking enumerator — the differential
-# baseline for the VM parity contract — stays green.
+# VM (DESIGN.md §14), so the tree-walking enumerator — the reference
+# executor and the VM's parity baseline — runs every rule and stays
+# green.
 (cd build && AWR_NO_BYTECODE=1 ctest --output-on-failure -j"$(nproc)")
+# The benchmark harness's unit tests (its statistics arithmetic); the
+# harness builds itself from source into .bench_build/.
+python3 perfbench/run.py --unit-tests
 
 # Service smoke against the plain build: real awrd process lifecycle
 # (SIGTERM drain, warm restart, SIGKILL mid-fixpoint + recovery).
@@ -83,9 +88,9 @@ cmake --build build-asan -j"$(nproc)" \
   ctest --output-on-failure -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
   ctest --output-on-failure -R CrashPointRecovery)
-# Columnar storage + batch executor under ASan/UBSan (columnar is on by
-# default): column-store maintenance across promotion/demotion and the
-# batch gather/probe/emit loops are pointer-heavy by design.
+# Columnar storage + the VM's word cursors under ASan/UBSan (columnar is
+# on by default): column-store maintenance across promotion/demotion and
+# the word scan/chain/emit loops are pointer-heavy by design.
 (cd build-asan && ctest --output-on-failure -R 'Columnar')
 # Service + thinned chaos under ASan/UBSan: socket lifecycle, executor
 # unwinding and the durable store under injected faults.
@@ -102,8 +107,8 @@ cmake --build build-asan -j"$(nproc)" \
 # The bytecode VM under ASan/UBSan: the wire-codec corruption fuzz
 # (truncation, byte flips, cross-program splices) feeds the decoder +
 # verifier — the sole safety boundary before the bounds-check-free
-# dispatch loop — and the execution/verifier suites drive both dispatch
-# flavors over handcrafted programs.
+# dispatch loop — and the execution/verifier suites drive the dispatch
+# loop over handcrafted programs.
 (cd build-asan && ctest --output-on-failure -R 'Vm')
 scripts/service_smoke.sh build-asan/src/awr/service/awrd asan
 
@@ -113,7 +118,7 @@ cmake --build build-tsan -j"$(nproc)" \
   --target awr_service_test --target awr_service_chaos_test \
   --target awr_vm_test --target awrd
 (cd build-tsan && AWR_EVAL_THREADS=4 ctest --output-on-failure -R 'Parallel')
-# Columnar batch execution under TSan: the driver-side column/index
+# Word-cursor execution under TSan: the driver-side column/index
 # pre-build vs worker-side const reads is exactly the discipline TSan
 # can falsify (the differential runs each engine at 1 and 4 threads).
 (cd build-tsan && ctest --output-on-failure -R 'Columnar')

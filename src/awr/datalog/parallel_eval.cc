@@ -163,26 +163,18 @@ Result<size_t> RunFireTasks(const std::vector<FireTask>& tasks,
     contexts[i] = std::move(ctx);
   }
 
-  // Columnar pre-build, also driver-side: materialize the column
-  // stores and column indexes each task's batch plan will read (on the
-  // base extents and the override chunks).  Workers then only perform
-  // const reads; a task the batch executor cannot serve falls back to
-  // the row path over the indexes pre-built above.
-  if (base_ctx.use_columnar) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      PrepareColumnarFire(*tasks[i].rule, contexts[i],
-                          &existing.Extent(tasks[i].rule->rule.head.predicate));
-    }
-  }
-
   // Bytecode pre-lowering, also driver-side: resolve each task's
   // compiled program from the global cache (lowering on first use) and
-  // materialize the columnar state its word-level cursors would read.
-  // Workers then execute read-only programs; their cache lookups are
-  // guaranteed hits.
+  // materialize the columnar state its word-level cursors and its emit
+  // filter over the head extent would read (on the base extents and
+  // the override chunks).  Workers then execute read-only programs;
+  // their cache lookups are guaranteed hits, and a loop whose column
+  // index is missing opens on a row cursor over the indexes pre-built
+  // above.
   if (base_ctx.use_bytecode) {
     for (size_t i = 0; i < tasks.size(); ++i) {
-      vm::PrepareVmFire(*tasks[i].rule, contexts[i]);
+      vm::PrepareVmFire(*tasks[i].rule, contexts[i],
+                        &existing.Extent(tasks[i].rule->rule.head.predicate));
     }
   }
 

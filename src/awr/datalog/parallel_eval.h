@@ -65,8 +65,8 @@ size_t MinPartitionGrain();
 /// Splits `extent` into at most `max_parts` disjoint chunks of at least
 /// MinPartitionGrain() facts each.  Chunks are CONTIGUOUS runs of the
 /// extent's iteration order, so a chunk's column store is a dense copy
-/// of a cache-friendly range rather than a strided sample — the batch
-/// executor then streams each chunk's columns sequentially.  (Any
+/// of a cache-friendly range rather than a strided sample — a word
+/// cursor then streams each chunk's columns sequentially.  (Any
 /// disjoint cover computes the same round: matches are a set union over
 /// chunks, and merge order at the barrier is task order, not chunk
 /// content.)  Returns an EMPTY vector when one part suffices — the

@@ -235,6 +235,9 @@ namespace {
 
 constexpr uint32_t kMagic = 0x4d565741;  // "AWVM"
 constexpr uint32_t kVersion = 1;
+// Flag byte bits; any other bit is rejected at decode.
+constexpr uint8_t kFlagJoinIndex = 1;
+constexpr uint8_t kFlagInfallible = 2;
 
 // Count fields are sanity-bounded by the bytes that could possibly back
 // them (every pooled element takes at least one byte on the wire).
@@ -253,9 +256,8 @@ std::vector<uint8_t> EncodeProgram(const CompiledRule& cr) {
   out.U32(kMagic);
   out.U32(kVersion);
   uint8_t flags = 0;
-  if (cr.use_join_index) flags |= 1;
-  if (cr.infallible) flags |= 2;
-  if (cr.may_batch) flags |= 4;
+  if (cr.use_join_index) flags |= kFlagJoinIndex;
+  if (cr.infallible) flags |= kFlagInfallible;
   out.U8(flags);
   out.U32(cr.num_regs);
   out.U32(cr.num_loops);
@@ -359,9 +361,11 @@ Result<CompiledRule> DecodeProgram(const uint8_t* data, size_t size,
   cr.plan = std::move(plan);
   uint8_t flags = 0;
   AWR_RETURN_IF_ERROR(in.U8(&flags));
-  cr.use_join_index = (flags & 1) != 0;
-  cr.infallible = (flags & 2) != 0;
-  cr.may_batch = (flags & 4) != 0;
+  if ((flags & ~uint8_t{kFlagJoinIndex | kFlagInfallible}) != 0) {
+    return Status::InvalidArgument("vm decode: unknown flag bits");
+  }
+  cr.use_join_index = (flags & kFlagJoinIndex) != 0;
+  cr.infallible = (flags & kFlagInfallible) != 0;
   AWR_RETURN_IF_ERROR(in.U32(&cr.num_regs));
   AWR_RETURN_IF_ERROR(in.U32(&cr.num_loops));
   AWR_RETURN_IF_ERROR(in.U64(&cr.cache_key));

@@ -1,8 +1,6 @@
 #include "awr/datalog/vm/vm.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -54,6 +52,7 @@ struct Cursor {
   int64_t row = -1;     ///< word scan: last row examined; chain: next link
   uintptr_t kw[8] = {};  ///< gathered probe-key words (chain)
   size_t nk = 0;
+  bool hit = false;  ///< chain: some row matched since the open
 };
 
 struct ExecState {
@@ -66,9 +65,12 @@ struct ExecState {
   uint64_t ops = 0;
   uint64_t word_opens = 0;
   uint64_t row_opens = 0;
+  uint64_t chain_opens = 0;  ///< word opens on a column-index chain
+  uint64_t chain_hits = 0;   ///< of those, opens that matched a row
   uint64_t facts = 0;
-  // Word-level emit filtering (infallible rules only, the batch
-  // columnar executor's license): an open-addressed table of the head
+  uint64_t word_facts = 0;  ///< of `facts`, delivered by EmitDeduped
+  // Word-level emit filtering (infallible rules only, see
+  // ExecuteCompiledRule): an open-addressed table of the head
   // projections already delivered this firing, plus the caller's
   // `known` extent probed through its full-arity column index — both
   // checked on raw words, before the head tuple is interned.
@@ -81,6 +83,28 @@ struct ExecState {
   std::vector<uintptr_t> head_words = {};
   std::vector<Value> head_buf = {};
 };
+
+/// Resolves the word-level duplicate filter over `known` for a head of
+/// `arity` all-inline components: the extent's full-arity column index,
+/// or nullptr when unavailable (non-flat extent, arity mismatch, worker
+/// thread without a pre-built index, >8 positions).
+const ValueSet::ColumnStore::Index* KnownFactsIndex(
+    const ValueSet* known, size_t arity, bool allow_build,
+    const ValueSet::ColumnStore** store_out) {
+  if (known == nullptr || arity == 0 || arity > 8) return nullptr;
+  const ValueSet::ColumnStore* store =
+      allow_build ? known->columns()
+                  : (known->columnar_built() ? known->columns() : nullptr);
+  if (store == nullptr || store->arity != arity) return nullptr;
+  std::vector<size_t> all_positions(arity);
+  for (size_t i = 0; i < arity; ++i) all_positions[i] = i;
+  const ValueSet::ColumnStore::Index* index =
+      allow_build ? known->ColumnIndex(all_positions)
+                  : known->FindColumnIndex(all_positions);
+  if (index == nullptr) return nullptr;
+  *store_out = store;
+  return index;
+}
 
 /// Doubles the emit-dedup table and re-seats every recorded projection.
 void GrowEmitTable(ExecState& s, size_t arity) {
@@ -208,7 +232,9 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
         const size_t h =
             ValueSet::ColumnStore::HashWords(cur.kw, nk);
         cur.row = index->heads[h & index->mask];
+        cur.hit = false;
         ++s.word_opens;
+        ++s.chain_opens;
         return pc + 1;
       }
     }
@@ -306,6 +332,10 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
           if (cols[wd.pos][r] != cols[wd.first_pos][r]) match = false;
         }
         if (!match) continue;
+        if (!cur.hit) {
+          cur.hit = true;
+          ++s.chain_hits;
+        }
         for (const CompiledRule::WordBind& wb : si.word_binds) {
           s.regs[wb.reg] = Value::FromInlineBits(cols[wb.pos][r]);
         }
@@ -472,6 +502,7 @@ bool EmitDeduped(ExecState& s, Status* st, bool* delivered_ok) {
     return true;
   }
   ++s.facts;
+  ++s.word_facts;
   *delivered_ok = true;
   return true;
 }
@@ -511,7 +542,9 @@ size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
   return in.fail;  // resume the innermost loop (or halt)
 }
 
-Status RunSwitch(ExecState& s) {
+/// The dispatch loop: one switch per instruction, each handler
+/// returning the next pc (or kPcError).
+Status Run(ExecState& s) {
   const Instr* code = s.cr.code.data();
   Status st = Status::OK();
   size_t pc = 0;
@@ -550,94 +583,22 @@ Status RunSwitch(ExecState& s) {
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#define AWR_VM_HAVE_COMPUTED_GOTO 1
-
-// Labels-as-values dispatch: each handler jumps straight to the next
-// instruction's handler, giving the branch predictor one indirect
-// branch per (predecessor, opcode) pair instead of a single shared
-// switch branch.  Observable behavior is identical to RunSwitch.
-Status RunGoto(ExecState& s) {
-  static const void* const kLabels[] = {
-      &&op_open, &&op_open, &&op_open,   &&op_open, &&op_next, &&op_negate,
-      &&op_cmp,  &&op_bind, &&op_charge, &&op_emit, &&op_halt};
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps,
-                "label table covers every opcode");
-  const Instr* code = s.cr.code.data();
-  Status st = Status::OK();
-  size_t pc = 0;
-
-#define AWR_VM_NEXT()                                   \
-  do {                                                  \
-    if (pc == kPcError) return st;                      \
-    ++s.ops;                                            \
-    goto* kLabels[static_cast<uint8_t>(code[pc].op)];   \
-  } while (0)
-
-  ++s.ops;
-  goto* kLabels[static_cast<uint8_t>(code[0].op)];
-op_open:
-  pc = HandleOpen(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_next:
-  pc = HandleNext(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_negate:
-  pc = HandleNegate(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_cmp:
-  pc = HandleCompare(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_bind:
-  pc = HandleBind(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_charge:
-  pc = HandleCharge(s, pc, &st);
-  AWR_VM_NEXT();
-op_emit:
-  pc = HandleEmit(s, code[pc], &st);
-  AWR_VM_NEXT();
-op_halt:
-  return Status::OK();
-#undef AWR_VM_NEXT
-}
-#else
-#define AWR_VM_HAVE_COMPUTED_GOTO 0
-#endif
-
-bool UseComputedGoto(Dispatch dispatch) {
-#if AWR_VM_HAVE_COMPUTED_GOTO
-  switch (dispatch) {
-    case Dispatch::kSwitch:
-      return false;
-    case Dispatch::kComputedGoto:
-      return true;
-    case Dispatch::kAuto: {
-      static const bool force_switch = [] {
-        const char* env = std::getenv("AWR_VM_DISPATCH");
-        return env != nullptr && std::strcmp(env, "switch") == 0;
-      }();
-      return !force_switch;
-    }
-  }
-  return true;
-#else
-  (void)dispatch;
-  return false;
-#endif
+/// Whether a firing of `cr` emits through EmitDeduped: infallible rules
+/// whose head fits a column index key.
+bool UsesWordEmit(const CompiledRule& cr) {
+  return cr.infallible && !cr.head.empty() && cr.head.size() <= 8;
 }
 
 }  // namespace
 
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
-                           bool allow_build, const ValueSet* known,
-                           Dispatch dispatch) {
+                           bool allow_build, const ValueSet* known) {
   ExecState s{cr, ctx, on_fact, allow_build};
   s.regs.resize(cr.num_regs);
   s.cursors.resize(cr.num_loops);
-  const size_t head_arity = cr.head.size();
-  if (cr.infallible && head_arity > 0 && head_arity <= 8) {
+  if (UsesWordEmit(cr)) {
+    const size_t head_arity = cr.head.size();
     s.emit_dedup = true;
     s.head_words.resize(head_arity);
     s.head_buf.resize(head_arity);
@@ -646,24 +607,27 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
     s.known_index =
         KnownFactsIndex(known, head_arity, allow_build, &s.known_store);
   }
-  Status st;
-#if AWR_VM_HAVE_COMPUTED_GOTO
-  st = UseComputedGoto(dispatch) ? RunGoto(s) : RunSwitch(s);
-#else
-  (void)dispatch;
-  st = RunSwitch(s);
-#endif
+  const Status st = Run(s);
   VmStatCounters& counters = VmCounters();
   counters.rules.fetch_add(1, std::memory_order_relaxed);
   counters.ops.fetch_add(s.ops, std::memory_order_relaxed);
   counters.word_opens.fetch_add(s.word_opens, std::memory_order_relaxed);
   counters.row_opens.fetch_add(s.row_opens, std::memory_order_relaxed);
   counters.facts.fetch_add(s.facts, std::memory_order_relaxed);
+  ColumnarExecStats firing;
+  const bool word_firing = s.word_opens > 0 && s.row_opens == 0;
+  firing.batch_rules_fired = word_firing ? 1 : 0;
+  firing.row_rules_fired = word_firing ? 0 : 1;
+  firing.batch_probes = s.chain_opens;
+  firing.batch_probe_hits = s.chain_hits;
+  firing.batch_facts = s.word_facts;
+  AddColumnarExecStats(firing);
   return st;
 }
 
 std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
-                                                  const BodyContext& ctx) {
+                                                  const BodyContext& ctx,
+                                                  const ValueSet* known) {
   if (!ctx.use_bytecode) return nullptr;
   std::shared_ptr<const CompiledRule> cr =
       CompiledPlanCache::Global().Get(planned, ctx.use_join_index);
@@ -685,6 +649,12 @@ std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
         extent.BuildColumns();
       }
     }
+  }
+  if (UsesWordEmit(*cr)) {
+    // The emit path's duplicate filter (ExecuteCompiledRule looks the
+    // index up with FindColumnIndex on workers).
+    const ValueSet::ColumnStore* store = nullptr;
+    KnownFactsIndex(known, cr->head.size(), /*allow_build=*/true, &store);
   }
   return cr;
 }

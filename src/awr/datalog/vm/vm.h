@@ -10,34 +10,28 @@
 
 namespace awr::datalog::vm {
 
-/// Dispatch-loop flavor.  kAuto picks computed-goto where the compiler
-/// supports labels-as-values (GCC/Clang) and the portable switch loop
-/// otherwise; AWR_VM_DISPATCH=switch forces the fallback (bench_vm
-/// measures both).
-enum class Dispatch {
-  kAuto,
-  kSwitch,
-  kComputedGoto,
-};
-
 /// Executes one firing of a compiled rule under `ctx`: enumerates every
 /// body match, polling CheckInterrupt("body-match") once per match, and
 /// delivers each derived head fact to `on_fact`.  Exactly the row
 /// enumerator's observable behavior (see the parity contract in
-/// bytecode.h); word-level cursors may reorder deliveries for
-/// infallible rules only, mirroring the batch columnar executor's
-/// license.  `allow_build` gates lazy columnar builds exactly like
-/// FireRuleFacts (false on pool workers, which only read pre-built
-/// state and otherwise fall back to row-level cursors).
+/// bytecode.h); word-level cursors may reorder deliveries, so they are
+/// lowered for infallible rules only.  `allow_build` gates lazy
+/// columnar builds exactly like FireRuleFacts (false on pool workers,
+/// which only read pre-built state and otherwise fall back to
+/// row-level cursors).
 ///
 /// `known` is the optional word-level duplicate filter with
 /// FireRuleFacts' contract: an extent whose facts the caller treats as
 /// already derived, immutable while the rule fires.  For infallible
 /// rules the emit handler then suppresses duplicate head projections
 /// within the firing and skips facts already in `known` — at the raw
-/// word level, before the tuple is ever materialized — exactly the
-/// batch columnar executor's license (every skipped delivery would have
-/// been a caller no-op; the per-match interrupt poll still fires).
+/// word level, before the tuple is ever materialized (every skipped
+/// delivery would have been a caller no-op; the per-match interrupt
+/// poll still fires).
+///
+/// Each firing also feeds the process-wide ColumnarExecStats: a word
+/// firing when every loop it opened was a word cursor, its word-chain
+/// opens and how many of them matched, and its word-level emits.
 ///
 /// `cr` must have passed VerifyCompiledRule (LowerRule and
 /// DecodeProgram both guarantee it): the dispatch loop performs no
@@ -45,17 +39,19 @@ enum class Dispatch {
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
                            bool allow_build,
-                           const ValueSet* known = nullptr,
-                           Dispatch dispatch = Dispatch::kAuto);
+                           const ValueSet* known = nullptr);
 
-/// Driver-side pre-build for parallel rounds, the VM analogue of
-/// PrepareColumnarFire: resolves (lowering on first use) the compiled
-/// program for `planned` from the global cache and materializes the
-/// column stores/indexes its word-capable steps would read, so workers
-/// execute with const reads only.  Returns the program, or nullptr when
-/// the rule is not lowerable.
+/// Driver-side pre-build for parallel rounds (the columnar analogue of
+/// ValueSet::BuildIndex pre-building): resolves (lowering on first use)
+/// the compiled program for `planned` from the global cache and
+/// materializes the column stores/indexes its word-capable steps would
+/// read — plus, for infallible rules, the full-arity index on `known`
+/// that the emit path's duplicate filter probes — so workers execute
+/// with const reads only.  Returns the program, or nullptr when the
+/// rule is not lowerable.
 std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
-                                                  const BodyContext& ctx);
+                                                  const BodyContext& ctx,
+                                                  const ValueSet* known);
 
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
 /// benchmarks.  Execution counters are updated atomically (workers run

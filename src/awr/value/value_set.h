@@ -222,7 +222,7 @@ class ValueSet {
     std::vector<std::vector<uintptr_t>> cols;
     std::vector<Value> rows;
     // Deque for pointer stability: building one index must not move
-    // the others (the batch executor holds Index* across a rule plan).
+    // the others (the VM holds Index* across a rule firing).
     std::deque<Index> indexes;
 
     size_t row_count() const { return rows.size(); }

@@ -11,6 +11,7 @@
 #include "awr/datalog/parser.h"
 #include "awr/datalog/stable.h"
 #include "awr/datalog/stratified.h"
+#include "awr/datalog/vm/vm.h"
 #include "awr/datalog/wellfounded.h"
 
 namespace awr::datalog {
@@ -159,9 +160,10 @@ TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
 }
 
 // ----------------------------------------------------------------------
-// FireRuleFacts: the batch columnar executor against the row-at-a-time
-// enumerator it replaces.  Both must deliver the same fact multiset;
-// the stats counters prove which path actually ran.
+// FireRuleFacts: the VM's word cursors against its row cursors.  Both
+// must deliver the same fact set; the stats counters prove which
+// cursors actually ran.  The VM is pinned on (overriding
+// AWR_NO_BYTECODE), since word cursors exist only there.
 
 BodyContext PlainContext(const Interpretation& interp,
                          const FunctionRegistry& fns, bool use_columnar) {
@@ -173,6 +175,7 @@ BodyContext PlainContext(const Interpretation& interp,
       [](const std::string&, const Value&) { return true; },
       nullptr, /*use_join_index=*/true};
   ctx.use_columnar = use_columnar;
+  ctx.use_bytecode = true;
   return ctx;
 }
 
@@ -205,16 +208,21 @@ TEST(FireRuleFactsTest, BatchAndRowAgreeOnJoinsConstantsAndDups) {
   for (const PlannedRule& pr : *planned) {
     ResetColumnarExecStats();
     auto row = CollectFacts(pr, PlainContext(interp, fns, false));
+    const ColumnarExecStats row_stats = GetColumnarExecStats();
+    ResetColumnarExecStats();
     auto batch = CollectFacts(pr, PlainContext(interp, fns, true));
+    const ColumnarExecStats word_stats = GetColumnarExecStats();
     ASSERT_TRUE(row.ok() && batch.ok())
         << pr.rule.head.predicate << "\nrow:   " << row.status()
         << "\nbatch: " << batch.status();
     EXPECT_EQ(*row, *batch) << pr.rule.head.predicate;
+    EXPECT_EQ(row_stats.row_rules_fired, 1u) << pr.rule.head.predicate;
+    EXPECT_EQ(row_stats.batch_rules_fired, 0u) << pr.rule.head.predicate;
     if (ColumnarStorageEnabled()) {
-      const ColumnarExecStats stats = GetColumnarExecStats();
-      EXPECT_EQ(stats.row_rules_fired, 1u) << pr.rule.head.predicate;
-      EXPECT_EQ(stats.batch_rules_fired, 1u) << pr.rule.head.predicate;
-      EXPECT_EQ(stats.batch_facts, batch->size()) << pr.rule.head.predicate;
+      EXPECT_EQ(word_stats.row_rules_fired, 0u) << pr.rule.head.predicate;
+      EXPECT_EQ(word_stats.batch_rules_fired, 1u) << pr.rule.head.predicate;
+      EXPECT_EQ(word_stats.batch_facts, batch->size())
+          << pr.rule.head.predicate;
     }
   }
 }
@@ -237,6 +245,38 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   const ColumnarExecStats stats = GetColumnarExecStats();
   EXPECT_EQ(stats.batch_rules_fired, 0u);  // nested arg: not flat
   EXPECT_EQ(stats.row_rules_fired, 1u);
+}
+
+// The reference configuration: with the VM off, the tree-walking
+// interpreter runs every rule — no word-level execution, even for a
+// flat positive rule over columnar extents.
+TEST(FireRuleFactsTest, BytecodeOffRunsOnlyTheInterpreter) {
+  auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
+  ASSERT_TRUE(program.ok());
+  auto planned = PlanProgram(*program);
+  ASSERT_TRUE(planned.ok());
+  Interpretation interp;
+  for (int i = 0; i < 8; ++i) {
+    interp.AddFact("e", {Value::Int(i), Value::Int(i + 1)});
+    interp.AddFact("tc", {Value::Int(i), Value::Int(i + 1)});
+  }
+  FunctionRegistry fns = FunctionRegistry::Default();
+  BodyContext ctx = PlainContext(interp, fns, /*use_columnar=*/true);
+  ctx.use_bytecode = false;
+  const ColumnarExecStats columnar_before = GetColumnarExecStats();
+  const vm::VmExecStats vm_before = vm::GetVmExecStats();
+  auto facts = CollectFacts(planned->front(), ctx);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EXPECT_EQ(facts->size(), 7u);
+  const ColumnarExecStats columnar_after = GetColumnarExecStats();
+  const vm::VmExecStats vm_after = vm::GetVmExecStats();
+  EXPECT_EQ(columnar_after.batch_rules_fired -
+                columnar_before.batch_rules_fired,
+            0u);
+  EXPECT_EQ(columnar_after.row_rules_fired - columnar_before.row_rules_fired,
+            1u);
+  EXPECT_EQ(vm_after.word_opens - vm_before.word_opens, 0u);
+  EXPECT_EQ(vm_after.vm_rules_fired - vm_before.vm_rules_fired, 0u);
 }
 
 TEST(FireRuleFactsTest, CallbackErrorAbortsBatchEmission) {

@@ -19,9 +19,12 @@
 #include "awr/common/context.h"
 #include "awr/common/intern.h"
 #include "awr/common/thread_pool.h"
+#include "awr/datalog/database.h"
+#include "awr/datalog/eval_core.h"
 #include "awr/datalog/leastmodel.h"
 #include "awr/datalog/parallel_eval.h"
 #include "awr/datalog/parser.h"
+#include "awr/datalog/vm/vm.h"
 #include "awr/value/value_set.h"
 
 namespace awr {
@@ -431,6 +434,36 @@ TEST(ParallelIndexTest, ConcurrentProbesOfPrebuiltIndexAreSafe) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(hits.load(), 8u * 64u);
+}
+
+// The driver-side VM pre-build also builds the full-arity index on the
+// head extent that workers' word-level emit filter probes — including
+// for rules with negation, like win-move.
+TEST(ParallelIndexTest, PrepareVmFireBuildsKnownFactsIndex) {
+  auto program = *datalog::ParseProgram("win(X) :- move(X, Y), not win(Y).");
+  auto planned = datalog::PlanProgram(program);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  datalog::Interpretation interp;
+  for (int i = 0; i < 6; ++i) {
+    interp.AddFact("move", {Value::Int(i), Value::Int(i + 1)});
+  }
+  interp.AddFact("win", {Value::Int(4)});
+  datalog::FunctionRegistry fns = datalog::FunctionRegistry::Default();
+  datalog::BodyContext ctx{
+      &fns,
+      [&interp](const std::string& pred, size_t) -> const ValueSet& {
+        return interp.Extent(pred);
+      },
+      [&interp](const std::string& pred, const Value& fact) {
+        return !interp.Holds(pred, fact);
+      }};
+  ctx.use_bytecode = true;
+  const ValueSet& known = interp.Extent("win");
+  auto cr = datalog::vm::PrepareVmFire(planned->front(), ctx, &known);
+  ASSERT_NE(cr, nullptr);
+  EXPECT_TRUE(cr->infallible);
+  // AWR_NO_COLUMNAR=1 disables the column stores process-wide.
+  EXPECT_EQ(known.FindColumnIndex({0}) != nullptr, ColumnarStorageEnabled());
 }
 
 // ----------------------------------------------------------------------

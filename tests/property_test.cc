@@ -1351,22 +1351,25 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
 
 // ----------------------------------------------------------------------
 // Columnar-vs-row differential oracle.  EvalOptions::use_columnar =
-// false is the row-at-a-time enumerator (the pre-columnar evaluator,
-// the oracle); the batch executor must produce the identical model,
+// false keeps every loop on row cursors (the pre-columnar evaluator,
+// the oracle); the VM's word cursors must produce the identical model,
 // charge sequence, and interruption statuses for every program,
 // semantics and thread count — the column store is a derived cache and
-// the batch plan enumerates the same match multiset in an order the
-// set-valued model cannot observe.
+// word cursors enumerate the same match set in an order the set-valued
+// model cannot observe.
 
 datalog::EvalOptions StorageOpts(size_t threads, bool columnar) {
   datalog::EvalOptions o = ThreadOpts(threads);
   o.use_columnar = columnar;  // pinned: overrides AWR_NO_COLUMNAR
+  // Word cursors live in the VM: pin it on the columnar side so this
+  // differential still covers them under AWR_NO_BYTECODE=1.
+  if (columnar) o.use_bytecode = true;
   return o;
 }
 
-/// Runs one engine with row storage (oracle) and then columnar batch
-/// execution, requiring identical status codes and — on success —
-/// identical results.  Returns the columnar-run result.
+/// Runs one engine with row storage (oracle) and then on word cursors,
+/// requiring identical status codes and — on success — identical
+/// results.  Returns the columnar-run result.
 template <typename Fn>
 auto EvalBothStorage(const Fn& eval, size_t threads,
                      const std::string& what) {
@@ -1463,9 +1466,9 @@ TEST(ColumnarVsRowDifferential, RenderedModelsAreByteIdentical) {
   }
 }
 
-// Governance charge sequences are storage-independent: the batch
-// executor polls CheckInterrupt("body-match") once per complete body
-// match, exactly like the row enumerator, so disarmed charge counts
+// Governance charge sequences are storage-independent: word cursors
+// poll CheckInterrupt("body-match") once per complete body match,
+// exactly like row cursors, so disarmed charge counts
 // match for every engine and thread count.
 TEST(ColumnarVsRowGovernance, ChargeCountsIdenticalBothStorage) {
   for (const GovernedEngine& engine : GovernedEngines()) {

@@ -222,8 +222,8 @@ TEST(SnapshotFormatTest, SerializationIsDeterministic) {
 }
 
 TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
-  // The same model evaluated with and without the batch columnar
-  // executor — and serialized with and without the column stores
+  // The same model evaluated on row cursors and on the VM's word
+  // cursors — and serialized with and without the column stores
   // materialized — must produce the exact same snapshot bytes: the
   // encoder goes through the canonical Sorted() order, and the columnar
   // permutation sort is byte-equivalent to the row sort.
@@ -236,6 +236,7 @@ TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
   ASSERT_TRUE(row_model.ok()) << row_model.status();
   EvalOptions col_opts = row_opts;
   col_opts.use_columnar = true;
+  col_opts.use_bytecode = true;  // word cursors live in the VM
   auto col_model = datalog::EvalMinimalModel(tc, edges, col_opts);
   ASSERT_TRUE(col_model.ok()) << col_model.status();
 

@@ -100,8 +100,6 @@ TEST(VmLoweringTest, NegationAndComparisonLowerToFilters) {
   auto cr = Lower(rules[0]);
   EXPECT_EQ(CountOp(*cr, Op::kFilterNegate), 1u);
   EXPECT_EQ(CountOp(*cr, Op::kFilterCompare), 1u);
-  // Negation disqualifies the rule from the batch columnar executor.
-  EXPECT_FALSE(cr->may_batch);
 }
 
 TEST(VmLoweringTest, EmptyBodyRuleLowers) {
@@ -242,7 +240,6 @@ TEST(VmCodecTest, RoundTripPreservesTheProgram) {
   EXPECT_EQ(back->num_regs, cr.num_regs);
   EXPECT_EQ(back->use_join_index, cr.use_join_index);
   EXPECT_EQ(back->infallible, cr.infallible);
-  EXPECT_EQ(back->may_batch, cr.may_batch);
   EXPECT_EQ(back->consts.size(), cr.consts.size());
   EXPECT_EQ(EncodeProgram(*back), bytes);
 }
@@ -256,12 +253,22 @@ TEST(VmCodecTest, EveryTruncationFailsCleanly) {
   }
 }
 
-TEST(VmCodecTest, TrailingBytesAreRejected) {
+TEST(VmCodecTest, TrailingBytesAndUnknownFlagsAreRejected) {
   CompiledRule cr = ValidProgram();
-  std::vector<uint8_t> bytes = EncodeProgram(cr);
-  bytes.push_back(0);
-  EXPECT_FALSE(DecodeProgram(bytes.data(), bytes.size(), cr.rule, cr.plan)
-                   .ok());
+  const std::vector<uint8_t> bytes = EncodeProgram(cr);
+  std::vector<std::vector<uint8_t>> inputs;
+  inputs.push_back(bytes);
+  inputs.back().push_back(0);  // trailing byte
+  // The flag byte follows the magic and version words; only bits 0
+  // (use_join_index) and 1 (infallible) are defined.
+  for (int bit = 2; bit < 8; ++bit) {
+    inputs.push_back(bytes);
+    inputs.back()[8] |= static_cast<uint8_t>(1u << bit);
+  }
+  for (const std::vector<uint8_t>& input : inputs) {
+    auto r = DecodeProgram(input.data(), input.size(), cr.rule, cr.plan);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
 }
 
 TEST(VmCodecTest, ByteCorruptionNeverCrashes) {
@@ -367,7 +374,7 @@ TEST(VmCacheTest, FingerprintIsStableAndShapeSensitive) {
 }
 
 // ----------------------------------------------------------------------
-// Execution parity on handcrafted rules, including both dispatch loops.
+// Execution parity on handcrafted rules.
 
 Database Chain(int n) {
   Database db;
@@ -436,7 +443,7 @@ TEST(VmExecutionTest, ArityMismatchErrorsAreIdentical) {
   EXPECT_EQ(interpreted.status().ToString(), compiled.status().ToString());
 }
 
-TEST(VmExecutionTest, DispatchFlavorsProduceTheSameFacts) {
+TEST(VmExecutionTest, CompiledFiringMatchesInterpreterFacts) {
   std::vector<PlannedRule> rules = Planned(kTc);
   const PlannedRule& join = rules[1];
   Interpretation interp = Chain(12);
@@ -452,26 +459,20 @@ TEST(VmExecutionTest, DispatchFlavorsProduceTheSameFacts) {
                     return !interp.Holds(pred, fact);
                   }};
   auto cr = Lower(join);
-  std::set<std::string> facts[2];
-  size_t slot = 0;
-  for (Dispatch d : {Dispatch::kSwitch, Dispatch::kComputedGoto}) {
-    auto& out = facts[slot++];
-    Status st = ExecuteCompiledRule(
-        *cr, ctx,
-        [&out](Value fact) -> Status {
-          out.insert(fact.ToString());
-          return Status::OK();
-        },
-        /*allow_build=*/true, /*known=*/nullptr, d);
-    ASSERT_TRUE(st.ok()) << st;
-  }
-  EXPECT_EQ(facts[0], facts[1]);
-  // And both agree with the interpreter's enumeration.
+  std::set<std::string> facts;
+  Status st = ExecuteCompiledRule(
+      *cr, ctx,
+      [&facts](Value fact) -> Status {
+        facts.insert(fact.ToString());
+        return Status::OK();
+      },
+      /*allow_build=*/true, /*known=*/nullptr);
+  ASSERT_TRUE(st.ok()) << st;
   BodyContext row_ctx = ctx;
   row_ctx.use_bytecode = false;
   row_ctx.use_columnar = false;
   std::set<std::string> oracle;
-  Status st = FireRuleFacts(
+  st = FireRuleFacts(
       join, row_ctx,
       [&oracle](Value fact) -> Status {
         oracle.insert(fact.ToString());
@@ -479,7 +480,7 @@ TEST(VmExecutionTest, DispatchFlavorsProduceTheSameFacts) {
       },
       nullptr);
   ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(facts[0], oracle);
+  EXPECT_EQ(facts, oracle);
 }
 
 TEST(VmExecutionTest, StatsCountCompiledWork) {
@@ -487,11 +488,7 @@ TEST(VmExecutionTest, StatsCountCompiledWork) {
   CompiledPlanCache::Global().Clear();
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
-  // Row storage, so every firing runs through the VM rather than the
-  // batch columnar executor (which keeps precedence when eligible).
-  EvalOptions opts = Opts(true);
-  opts.use_columnar = false;
-  auto model = EvalMinimalModel(*program, Chain(40), opts);
+  auto model = EvalMinimalModel(*program, Chain(40), Opts(true));
   ASSERT_TRUE(model.ok()) << model.status();
   VmExecStats stats = GetVmExecStats();
   EXPECT_GT(stats.vm_rules_fired, 0u);
