@@ -78,7 +78,8 @@ cmake --build build-asan -j"$(nproc)" \
   --target awr_property_test --target awr_value_test \
   --target awr_eval_core_test --target awr_service_test \
   --target awr_service_chaos_test --target awr_storage_test \
-  --target awr_powercut_test --target awr_vm_test --target awrd
+  --target awr_powercut_test --target awr_vm_test \
+  --target awr_borrowed_base_test --target awrd
 (cd build-asan && ctest --output-on-failure -R Interruption)
 (cd build-asan && ctest --output-on-failure -R 'Snapshot|ValueCodec')
 # The snapshot corruption fuzz again on the legacy representation: the
@@ -88,6 +89,10 @@ cmake --build build-asan -j"$(nproc)" \
   ctest --output-on-failure -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
   ctest --output-on-failure -R CrashPointRecovery)
+# The borrowed-base parity pins under ASan/UBSan: the least-model loop
+# reads the engine's base by reference across alternation steps and
+# strata, and builds full interpretations only at capture/resume.
+(cd build-asan && ctest --output-on-failure -R BorrowedBase)
 # Columnar storage + the VM's word cursors under ASan/UBSan (columnar is
 # on by default): column-store maintenance across promotion/demotion and
 # the word scan/chain/emit loops are pointer-heavy by design.
@@ -116,8 +121,13 @@ cmake -B build-tsan -S . -DAWR_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" \
   --target awr_parallel_test --target awr_property_test \
   --target awr_service_test --target awr_service_chaos_test \
-  --target awr_vm_test --target awrd
+  --target awr_vm_test --target awr_borrowed_base_test --target awrd
 (cd build-tsan && AWR_EVAL_THREADS=4 ctest --output-on-failure -R 'Parallel')
+# Parallel workers read the shared base extents, whose indexes and
+# column stores the round driver pre-builds; the parity pins run every
+# case at 1 and 4 threads.
+(cd build-tsan && AWR_EVAL_THREADS=4 \
+  ctest --output-on-failure -R BorrowedBase)
 # Word-cursor execution under TSan: the driver-side column/index
 # pre-build vs worker-side const reads is exactly the discipline TSan
 # can falsify (the differential runs each engine at 1 and 4 threads).

@@ -57,6 +57,21 @@ class Interpretation {
     return added;
   }
 
+  /// Sets the extent of `predicate` to `extent`, adding the entry when
+  /// absent.
+  void SetExtent(const std::string& predicate, ValueSet extent) {
+    relations_.insert_or_assign(predicate, std::move(extent));
+  }
+
+  /// Takes the extent of every predicate `overlay` has an entry for from
+  /// `overlay`, replacing this interpretation's (the least-model loop's
+  /// derived extents laid over its base; see Overlaid).
+  void OverlayWith(Interpretation overlay) {
+    for (auto& [pred, extent] : overlay.relations_) {
+      SetExtent(pred, std::move(extent));
+    }
+  }
+
   /// True iff every fact of this interpretation is in `other`.
   bool IsSubsetOf(const Interpretation& other) const {
     for (const auto& [pred, extent] : relations_) {
@@ -83,8 +98,28 @@ class Interpretation {
     return n;
   }
 
+  /// Fact-set equality (an empty extent equals a missing one).  One
+  /// walk compares the sizes of the non-empty extents, so a single
+  /// subset pass then settles it.
   bool operator==(const Interpretation& other) const {
-    return IsSubsetOf(other) && other.IsSubsetOf(*this);
+    auto skip_empty = [](auto it, auto end) {
+      while (it != end && it->second.empty()) ++it;
+      return it;
+    };
+    auto a = relations_.begin();
+    auto b = other.relations_.begin();
+    for (;;) {
+      a = skip_empty(a, relations_.end());
+      b = skip_empty(b, other.relations_.end());
+      if (a == relations_.end() || b == other.relations_.end()) break;
+      if (a->first != b->first || a->second.size() != b->second.size()) {
+        return false;
+      }
+      ++a;
+      ++b;
+    }
+    return a == relations_.end() && b == other.relations_.end() &&
+           IsSubsetOf(other);
   }
   bool operator!=(const Interpretation& other) const {
     return !(*this == other);
@@ -103,6 +138,17 @@ class Interpretation {
 
 /// The extensional database handed to evaluators.
 using Database = Interpretation;
+
+/// `base` with the extent of every predicate `overlay` has an entry for
+/// taken from `overlay`: the full interpretation that a least-model
+/// loop's split state (its borrowed base plus the head predicates'
+/// extents) stands for.
+inline Interpretation Overlaid(const Interpretation& base,
+                               const Interpretation& overlay) {
+  Interpretation full = base;
+  full.OverlayWith(overlay);
+  return full;
+}
 
 /// Truth value of a fact in a 3-valued model.
 enum class Truth { kFalse = 0, kUndefined = 1, kTrue = 2 };

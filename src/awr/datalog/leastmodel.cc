@@ -6,6 +6,8 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <set>
+#include <string>
 
 #include "awr/common/thread_pool.h"
 #include "awr/datalog/parallel_eval.h"
@@ -37,6 +39,64 @@ size_t DefaultEvalThreads() {
 
 namespace {
 
+std::set<std::string> HeadPredicates(const std::vector<PlannedRule>& rules) {
+  std::set<std::string> heads;
+  for (const PlannedRule& pr : rules) heads.insert(pr.rule.head.predicate);
+  return heads;
+}
+
+Interpretation Project(const Interpretation& full,
+                       const std::set<std::string>& heads) {
+  Interpretation out;
+  for (const auto& [pred, extent] : full) {
+    if (heads.count(pred) != 0) out.SetExtent(pred, extent);
+  }
+  return out;
+}
+
+// The loop's state over a borrowed base: the head predicates' extents
+// live in `derived` (starting as base's facts for them); every other
+// predicate is read straight from `base`.
+class SplitState {
+ public:
+  SplitState(const std::vector<PlannedRule>& rules, const Interpretation& base)
+      : base_(base), heads_(HeadPredicates(rules)) {
+    derived = Project(base, heads_);
+    // derived now holds copies of exactly base's head entries.
+    base_bytes_ = base.ApproxBytes() - derived.ApproxBytes();
+  }
+
+  const ValueSet& Extent(const std::string& pred) const {
+    return IsHead(pred) ? derived.Extent(pred) : base_.Extent(pred);
+  }
+
+  // `not pred(fact)` against the frozen J described by `neg`.
+  bool NegationHolds(const FrozenNegation& neg, const std::string& pred,
+                     const Value& fact) const {
+    const Interpretation* j =
+        neg.derived != nullptr && IsHead(pred) ? neg.derived : neg.base;
+    return j == nullptr || !j->Holds(pred, fact);
+  }
+
+  // Overlaid(base, derived).ApproxBytes(), without building it.
+  size_t ApproxBytes() const { return base_bytes_ + derived.ApproxBytes(); }
+
+  // Re-enters a snapshot frame: its interpretation projected onto the
+  // head predicates (the rest of it equals the base).
+  void Restore(const Interpretation& full) { derived = Project(full, heads_); }
+
+  Interpretation derived;
+
+ private:
+  bool IsHead(const std::string& pred) const {
+    return heads_.count(pred) != 0;
+  }
+
+  const Interpretation& base_;
+  const std::set<std::string> heads_;
+  size_t base_bytes_ = 0;  // base's bytes outside the head entries
+};
+
 // Derives all heads of `rule` under `ctx` into `out` (skipping facts
 // already in `existing`); returns the number of new facts.  Dispatches
 // through FireRuleFacts, so rules run their compiled programs (flat
@@ -58,15 +118,14 @@ Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
   return added;
 }
 
-// Checkpoint plumbing shared by the sequential and parallel loops: the
-// frame view aliases the loop's live state, `interrupted` reports the
-// last completed barrier to the owner just before a non-OK return, and
-// `arrived` advances the barrier bookkeeping after a completed round.
-// The invariant both maintain: a reported frame is always "the state
-// after rounds_done complete rounds, before anything of the next one",
-// and barrier_charges is total_charges() at that same point — so a
-// resumed run re-executes exactly the charges the interrupted run had
-// not yet completed.
+// Checkpoint plumbing: the frame view aliases the loop's live state,
+// `interrupted` reports the last completed barrier to the owner just
+// before a non-OK return, and `arrived` advances the barrier
+// bookkeeping after a completed round.  The invariant both maintain: a
+// reported frame is always "the state after rounds_done complete
+// rounds, before anything of the next one", and barrier_charges is
+// total_charges() at that same point — so a resumed run re-executes
+// exactly the charges the interrupted run had not yet completed.
 struct BarrierTracker {
   const snapshot::CheckpointHooks* hooks;
   snapshot::LeastModelFrameView view;
@@ -95,196 +154,140 @@ struct BarrierTracker {
   }
 };
 
-// The parallel twin of the sequential loops below: the same round
-// structure with the same charge skeleton (ChargeRound / ChargeFacts /
-// ChargeMemory at the same points with the same values), but each
-// round's rule firings fanned out over `pool` as
-// (rule × extent-partition) tasks with a deterministic merge at the
-// barrier (see parallel_eval.h).  Computes a model bit-identical to the
-// sequential path for every pool size.
-Result<Interpretation> LeastModelParallel(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    ExecutionContext* ctx, ThreadPool* pool,
-    const LeastModelControl& control) {
-  Interpretation interp = base;
-  ParallelGovernor governor(ctx);
-  const size_t max_parts = pool->size();
-  BarrierTracker bar(control.hooks, opts.seminaive, ctx);
-
-  auto neg_holds = [&neg_context](const std::string& pred, const Value& fact) {
-    return !neg_context.Holds(pred, fact);
-  };
-  BodyContext body_ctx{
-      &opts.functions,
-      [&interp](const std::string& pred, size_t) -> const ValueSet& {
-        return interp.Extent(pred);
-      },
-      neg_holds, /*context=*/nullptr, opts.use_join_index};
-  body_ctx.use_columnar = opts.use_columnar;
-  body_ctx.use_bytecode = opts.use_bytecode;
-
-  if (!opts.seminaive) {
-    if (control.resume != nullptr) {
-      interp = control.resume->interp;
-      bar.view.rounds_done = control.resume->rounds_done;
-    }
-    // The naive loop charges memory after merging the round's delta, so
-    // at that charge point the live interpretation is one round ahead of
-    // the last barrier; keep a barrier copy for interrupt capture.
-    Interpretation barrier_interp;
-    if (bar.capture_on_interrupt) barrier_interp = interp;
-    bar.view.interp = bar.capture_on_interrupt ? &barrier_interp : &interp;
-    for (;;) {
-      Status st = ctx->ChargeRound("least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      Interpretation delta;
-      std::deque<ValueSet> chunks;
-      std::vector<FireTask> tasks =
-          MakeScanSplitTasks(rules, body_ctx, max_parts, &chunks);
-      auto added = RunFireTasks(tasks, body_ctx, interp, &delta, pool,
-                                &governor);
-      if (!added.ok()) return bar.Interrupted(added.status());
-      if (*added == 0) break;
-      st = ctx->ChargeFacts(*added, "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      interp.InsertAll(delta);
-      st = ctx->ChargeMemory(interp.ApproxBytes(), "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      if (bar.capture_on_interrupt) barrier_interp = interp;
-      bar.Arrived(ctx);
-    }
-    return interp;
-  }
-
-  bar.view.interp = &interp;
-  Interpretation delta;
-  bool run_round0 = true;
-  if (control.resume != nullptr) {
-    interp = control.resume->interp;
-    bar.view.rounds_done = control.resume->rounds_done;
-    if (control.resume->rounds_done > 0) {
-      delta = control.resume->delta;
-      run_round0 = false;
-      bar.view.delta = &delta;
-    }
-  }
-  if (run_round0) {
-    // view.delta stays null through round 0: the delta under
-    // construction is not part of the 0-round barrier state.
-    Status st = ctx->ChargeRound("least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
+// Fires one round's rules and collects the facts new to the state into
+// `delta`.  Sequentially that is FireRule over `rules` — each rule once
+// against `ctx`, or, in a delta round, once per positive body
+// occurrence of a predicate with a non-empty extent in `*prev_delta`,
+// with that extent substituted for the occurrence.  With a pool the
+// same firings fan out as (rule × extent-partition) tasks with a
+// deterministic merge at the barrier (see parallel_eval.h): the same
+// fact set, the same count, the same polls.
+Result<size_t> FireRound(const std::vector<PlannedRule>& rules,
+                         const BodyContext& ctx, const SplitState& state,
+                         const Interpretation* prev_delta, ThreadPool* pool,
+                         ParallelGovernor* governor, Interpretation* delta) {
+  if (pool != nullptr) {
     std::deque<ValueSet> chunks;
     std::vector<FireTask> tasks =
-        MakeScanSplitTasks(rules, body_ctx, max_parts, &chunks);
-    auto added = RunFireTasks(tasks, body_ctx, interp, &delta, pool,
-                              &governor);
-    if (!added.ok()) return bar.Interrupted(added.status());
-    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(delta);
-    bar.view.delta = &delta;
-    bar.Arrived(ctx);
+        prev_delta == nullptr
+            ? MakeScanSplitTasks(rules, ctx, pool->size(), &chunks)
+            : MakeDeltaTasks(rules, *prev_delta, pool->size(), &chunks);
+    return RunFireTasks(tasks, ctx, state.derived, delta, pool, governor);
   }
-
-  while (delta.TotalFacts() > 0) {
-    Status st = ctx->ChargeRound("least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    st = ctx->ChargeMemory(interp.ApproxBytes() + delta.ApproxBytes(),
-                           "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    Interpretation next_delta;
-    std::deque<ValueSet> chunks;
-    std::vector<FireTask> tasks =
-        MakeDeltaTasks(rules, delta, max_parts, &chunks);
-    auto added = RunFireTasks(tasks, body_ctx, interp, &next_delta, pool,
-                              &governor);
-    if (!added.ok()) return bar.Interrupted(added.status());
-    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(next_delta);
-    delta = std::move(next_delta);
-    bar.Arrived(ctx);
+  size_t added = 0;
+  for (const PlannedRule& pr : rules) {
+    if (prev_delta == nullptr) {
+      AWR_ASSIGN_OR_RETURN(size_t n, FireRule(pr, ctx, state.derived, delta));
+      added += n;
+      continue;
+    }
+    for (size_t i = 0; i < pr.rule.body.size(); ++i) {
+      const Literal& lit = pr.rule.body[i];
+      if (!lit.is_atom() || !lit.positive) continue;
+      const ValueSet& changed = prev_delta->Extent(lit.atom.predicate);
+      if (changed.empty()) continue;
+      BodyContext occ_ctx = ctx;
+      occ_ctx.positive_extent =
+          [&state, &changed, i](const std::string& pred,
+                                size_t body_index) -> const ValueSet& {
+        return body_index == i ? changed : state.Extent(pred);
+      };
+      AWR_ASSIGN_OR_RETURN(size_t n,
+                           FireRule(pr, occ_ctx, state.derived, delta));
+      added += n;
+    }
   }
-  return interp;
+  return added;
 }
 
 }  // namespace
 
+Interpretation DerivedPart(const std::vector<PlannedRule>& rules,
+                           const Interpretation& full) {
+  return Project(full, HeadPredicates(rules));
+}
+
 Result<Interpretation> LeastModelWithFrozenNegation(
     const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    ExecutionContext* ctx, const LeastModelControl& control) {
-  if (opts.pool != nullptr) {
-    return LeastModelParallel(rules, base, neg_context, opts, ctx, opts.pool,
-                              control);
+    const FrozenNegation& neg, const EvalOptions& opts, ExecutionContext* ctx,
+    const LeastModelControl& control) {
+  // The parallel path: the same rounds with the same charge skeleton,
+  // each round's firings fanned out over a pool (see FireRound).
+  std::optional<ThreadPool> local_pool;
+  ThreadPool* pool = opts.pool;
+  if (pool == nullptr && opts.num_threads > 1) {
+    local_pool.emplace(opts.num_threads);
+    pool = &*local_pool;
   }
-  if (opts.num_threads > 1) {
-    ThreadPool pool(opts.num_threads);
-    return LeastModelParallel(rules, base, neg_context, opts, ctx, &pool,
-                              control);
-  }
-  Interpretation interp = base;
-  BarrierTracker bar(control.hooks, opts.seminaive, ctx);
+  std::optional<ParallelGovernor> governor;
+  if (pool != nullptr) governor.emplace(ctx);
 
-  auto neg_holds = [&neg_context](const std::string& pred, const Value& fact) {
-    return !neg_context.Holds(pred, fact);
+  SplitState state(rules, base);
+  BarrierTracker bar(control.hooks, opts.seminaive, ctx);
+  bar.view.base = &base;
+  bar.view.derived = &state.derived;
+
+  BodyContext body_ctx{
+      &opts.functions,
+      [&state](const std::string& pred, size_t) -> const ValueSet& {
+        return state.Extent(pred);
+      },
+      [&state, &neg](const std::string& pred, const Value& fact) {
+        return state.NegationHolds(neg, pred, fact);
+      },
+      // Parallel workers poll the governor instead (RunFireTasks).
+      pool != nullptr ? nullptr : ctx, opts.use_join_index};
+  body_ctx.use_columnar = opts.use_columnar;
+  body_ctx.use_bytecode = opts.use_bytecode;
+  auto fire = [&](const Interpretation* prev_delta, Interpretation* delta) {
+    return FireRound(rules, body_ctx, state, prev_delta, pool,
+                     governor ? &*governor : nullptr, delta);
   };
 
   if (!opts.seminaive) {
     // Naive iteration: every round fires every rule against the full
     // interpretation.
     if (control.resume != nullptr) {
-      interp = control.resume->interp;
+      state.Restore(control.resume->interp);
       bar.view.rounds_done = control.resume->rounds_done;
     }
     // The naive loop charges memory after merging the round's delta, so
-    // at that charge point the live interpretation is one round ahead of
-    // the last barrier; keep a barrier copy for interrupt capture.
-    Interpretation barrier_interp;
-    if (bar.capture_on_interrupt) barrier_interp = interp;
-    bar.view.interp = bar.capture_on_interrupt ? &barrier_interp : &interp;
+    // at that charge point the live state is one round ahead of the last
+    // barrier; keep a barrier copy of the derived extents for interrupt
+    // capture.
+    Interpretation barrier_derived;
+    if (bar.capture_on_interrupt) {
+      barrier_derived = state.derived;
+      bar.view.derived = &barrier_derived;
+    }
     for (;;) {
       Status st = ctx->ChargeRound("least-model(naive)");
       if (!st.ok()) return bar.Interrupted(std::move(st));
       Interpretation delta;
-      BodyContext body_ctx{
-          &opts.functions,
-          [&interp](const std::string& pred, size_t) -> const ValueSet& {
-            return interp.Extent(pred);
-          },
-          neg_holds, ctx, opts.use_join_index};
-      body_ctx.use_columnar = opts.use_columnar;
-      body_ctx.use_bytecode = opts.use_bytecode;
-      size_t added = 0;
-      for (const PlannedRule& pr : rules) {
-        auto n = FireRule(pr, body_ctx, interp, &delta);
-        if (!n.ok()) return bar.Interrupted(n.status());
-        added += *n;
-      }
-      if (added == 0) break;
-      st = ctx->ChargeFacts(added, "least-model(naive)");
+      auto added = fire(nullptr, &delta);
+      if (!added.ok()) return bar.Interrupted(added.status());
+      if (*added == 0) break;
+      st = ctx->ChargeFacts(*added, "least-model(naive)");
       if (!st.ok()) return bar.Interrupted(std::move(st));
-      interp.InsertAll(delta);
-      st = ctx->ChargeMemory(interp.ApproxBytes(), "least-model(naive)");
+      state.derived.InsertAll(delta);
+      st = ctx->ChargeMemory(state.ApproxBytes(), "least-model(naive)");
       if (!st.ok()) return bar.Interrupted(std::move(st));
-      if (bar.capture_on_interrupt) barrier_interp = interp;
+      if (bar.capture_on_interrupt) barrier_derived = state.derived;
       bar.Arrived(ctx);
     }
-    return interp;
+    return std::move(state.derived);
   }
 
   // Semi-naive iteration.  Round 0 fires every rule against `base`;
   // subsequent rounds fire only rules with a positive occurrence of a
   // predicate that changed, substituting the delta for one occurrence
   // at a time.  Within a round every fallible charge precedes the
-  // mutations, so on an interrupt (interp, delta) is exactly the last
+  // mutations, so on an interrupt (derived, delta) is exactly the last
   // barrier's state.
-  bar.view.interp = &interp;
   Interpretation delta;
   bool run_round0 = true;
   if (control.resume != nullptr) {
-    interp = control.resume->interp;
+    state.Restore(control.resume->interp);
     bar.view.rounds_done = control.resume->rounds_done;
     if (control.resume->rounds_done > 0) {
       delta = control.resume->delta;
@@ -297,23 +300,11 @@ Result<Interpretation> LeastModelWithFrozenNegation(
     // construction is not part of the 0-round barrier state.
     Status st = ctx->ChargeRound("least-model(seminaive)");
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    BodyContext body_ctx{
-        &opts.functions,
-        [&interp](const std::string& pred, size_t) -> const ValueSet& {
-          return interp.Extent(pred);
-        },
-        neg_holds, ctx, opts.use_join_index};
-    body_ctx.use_columnar = opts.use_columnar;
-    body_ctx.use_bytecode = opts.use_bytecode;
-    size_t added = 0;
-    for (const PlannedRule& pr : rules) {
-      auto n = FireRule(pr, body_ctx, interp, &delta);
-      if (!n.ok()) return bar.Interrupted(n.status());
-      added += *n;
-    }
-    st = ctx->ChargeFacts(added, "least-model(seminaive)");
+    auto added = fire(nullptr, &delta);
+    if (!added.ok()) return bar.Interrupted(added.status());
+    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(delta);
+    state.derived.InsertAll(delta);
     bar.view.delta = &delta;
     bar.Arrived(ctx);
   }
@@ -321,63 +312,19 @@ Result<Interpretation> LeastModelWithFrozenNegation(
   while (delta.TotalFacts() > 0) {
     Status st = ctx->ChargeRound("least-model(seminaive)");
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    st = ctx->ChargeMemory(interp.ApproxBytes() + delta.ApproxBytes(),
+    st = ctx->ChargeMemory(state.ApproxBytes() + delta.ApproxBytes(),
                            "least-model(seminaive)");
     if (!st.ok()) return bar.Interrupted(std::move(st));
     Interpretation next_delta;
-    size_t added = 0;
-    for (const PlannedRule& pr : rules) {
-      // Occurrences of changed predicates in this rule's body.
-      std::vector<size_t> delta_occurrences;
-      for (size_t i = 0; i < pr.rule.body.size(); ++i) {
-        const Literal& lit = pr.rule.body[i];
-        if (lit.is_atom() && lit.positive &&
-            delta.Extent(lit.atom.predicate).size() > 0) {
-          delta_occurrences.push_back(i);
-        }
-      }
-      for (size_t occ : delta_occurrences) {
-        BodyContext body_ctx{
-            &opts.functions,
-            [&interp, &delta, occ](const std::string& pred,
-                                   size_t body_index) -> const ValueSet& {
-              return body_index == occ ? delta.Extent(pred)
-                                       : interp.Extent(pred);
-            },
-            neg_holds, ctx, opts.use_join_index};
-        body_ctx.use_columnar = opts.use_columnar;
-        body_ctx.use_bytecode = opts.use_bytecode;
-        auto n = FireRule(pr, body_ctx, interp, &next_delta);
-        if (!n.ok()) return bar.Interrupted(n.status());
-        added += *n;
-      }
-    }
-    st = ctx->ChargeFacts(added, "least-model(seminaive)");
+    auto added = fire(&delta, &next_delta);
+    if (!added.ok()) return bar.Interrupted(added.status());
+    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(next_delta);
+    state.derived.InsertAll(next_delta);
     delta = std::move(next_delta);
     bar.Arrived(ctx);
   }
-  return interp;
-}
-
-Result<Interpretation> LeastModelWithFrozenNegation(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    EvalBudget* budget) {
-  EvalLimits remaining = budget->limits();
-  remaining.max_rounds -= std::min(budget->rounds(), remaining.max_rounds);
-  remaining.max_facts -= std::min(budget->facts(), remaining.max_facts);
-  ExecutionContext ctx(remaining);
-  auto result = LeastModelWithFrozenNegation(rules, base, neg_context, opts,
-                                             &ctx);
-  for (size_t i = 0; i < ctx.rounds(); ++i) {
-    Status ignored = budget->ChargeRound("least-model");
-    (void)ignored;
-  }
-  Status ignored = budget->ChargeFacts(ctx.facts(), "least-model");
-  (void)ignored;
-  return result;
+  return std::move(state.derived);
 }
 
 namespace {
@@ -393,7 +340,9 @@ Result<Interpretation> EvalMinimalModelImpl(
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules, PlanProgram(program));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
-  Interpretation empty;
+  // The evaluation's one copy of the EDB: the least-model loop builds
+  // its indexes on it, never on the caller's database.
+  Interpretation model = edb;
 
   EvalOptions eff_opts = opts;
   if (resume != nullptr) {
@@ -431,8 +380,12 @@ Result<Interpretation> EvalMinimalModelImpl(
     control.hooks = &hooks;
   }
   if (resume != nullptr) control.resume = &resume->inner;
-  return LeastModelWithFrozenNegation(rules, edb, empty, eff_opts, ctx,
-                                      control);
+  AWR_ASSIGN_OR_RETURN(
+      Interpretation derived,
+      LeastModelWithFrozenNegation(rules, model, FrozenNegation{}, eff_opts,
+                                   ctx, control));
+  model.OverlayWith(std::move(derived));
+  return model;
 }
 
 }  // namespace

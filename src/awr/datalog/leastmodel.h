@@ -104,35 +104,60 @@ struct LeastModelControl {
   const snapshot::LeastModelFrame* resume = nullptr;
 };
 
-/// Computes the least model of `rules` + `edb` where every *negative*
-/// literal is tested against the FIXED interpretation `neg_context`:
-/// `not P(t)` holds iff `neg_context` does not contain P(t).
+/// The frozen interpretation J that negative literals are tested
+/// against, in the least-model loop's split form: J takes the extents of
+/// the call's head predicates from `derived` and every other extent from
+/// `base`.  A null `derived` takes every extent from `base`; a null
+/// `base` is the empty interpretation — the well-founded engine's
+/// I_0 = ∅, under which `not e(t)` holds for EDB predicates too.
+struct FrozenNegation {
+  const Interpretation* base = nullptr;
+  const Interpretation* derived = nullptr;
+};
+
+/// Computes the least model of `rules` + `base` where every *negative*
+/// literal is tested against the FIXED interpretation J given by `neg`:
+/// `not P(t)` holds iff J does not contain P(t).
 ///
 /// This is the operator S(J) of the alternating-fixpoint construction:
 /// the paper's "derivations starting from the current set T of true
 /// facts, where only facts not in T are allowed to be used negatively"
 /// (§2.2).  Positive programs get their ordinary minimal model (any
-/// `neg_context` is vacuous).  The result contains the EDB facts as
-/// well as the derived ones.
+/// `neg` is vacuous).
 ///
-/// `rules` may be restricted to a subset of the program (stratified
-/// evaluation passes one stratum at a time); derived facts accumulate
-/// on top of `base`, which must already contain everything lower
-/// strata / the EDB established.
+/// Borrowed base.  `base` is read by reference and never written: every
+/// predicate that no rule of `rules` derives is read straight from it,
+/// so the hash indexes and column stores built on its extents persist
+/// across calls — an engine that calls this repeatedly (every
+/// alternation step, every stratum) builds them once.  Those lazy
+/// caches are built on the calling thread (and pre-built there before a
+/// parallel round), so `base` must be the engine's own copy, never a
+/// caller's const Database shared with other threads.
+///
+/// The loop's own state is only the extents of the head predicates,
+/// each starting as `base`'s facts for it (usually none).  Those
+/// extents are the result: the full model is Overlaid(base, result),
+/// which the engines build once, at the end.  `rules` may be a subset
+/// of the program (stratified evaluation passes one stratum at a time);
+/// `base` must already contain everything lower strata / the EDB
+/// established.
+///
+/// Governance is that of the full state: every ChargeMemory figure
+/// equals Overlaid(base, state).ApproxBytes(), and checkpoint hooks
+/// receive the split state (see snapshot::LeastModelFrameView), from
+/// which a capture builds the full interpretation.  A resumed frame's
+/// interpretation is projected back onto the head predicates; its other
+/// extents must equal `base`'s.
 Result<Interpretation> LeastModelWithFrozenNegation(
     const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    ExecutionContext* ctx, const LeastModelControl& control = {});
+    const FrozenNegation& neg, const EvalOptions& opts, ExecutionContext* ctx,
+    const LeastModelControl& control = {});
 
-/// Compatibility overload for callers still holding a bare EvalBudget:
-/// runs under a private ExecutionContext carrying the budget's remaining
-/// allowance, then mirrors the consumed rounds/facts back into `budget`.
-/// Prefer the ExecutionContext overload, which adds deadlines,
-/// cancellation and memory accounting.
-Result<Interpretation> LeastModelWithFrozenNegation(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    EvalBudget* budget);
+/// The extents of `full` for the predicates some rule of `rules`
+/// derives: a full interpretation projected onto the state a
+/// least-model call over `rules` keeps.
+Interpretation DerivedPart(const std::vector<PlannedRule>& rules,
+                           const Interpretation& full);
 
 /// Minimal-model evaluation of a *positive* program (no negated atoms):
 /// the classical datalog semantics.  Fails with FailedPrecondition if

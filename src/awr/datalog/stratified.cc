@@ -53,7 +53,11 @@ Result<Interpretation> EvalStratifiedImpl(
     }
   }
 
-  Interpretation interp = edb;
+  // The evaluation's one copy of the EDB, which accumulates the strata:
+  // each stratum's least-model fixpoint borrows it as its base, and its
+  // derived extents are laid over it afterwards.  Resuming re-enters
+  // the snapshot's stratum from the snapshot's pre-stratum state.
+  Interpretation interp = resume != nullptr ? resume->neg_context : edb;
   for (size_t s = start_stratum; s < strata.size(); ++s) {
     std::vector<PlannedRule> stratum_rules;
     for (const PlannedRule& pr : planned) {
@@ -63,12 +67,10 @@ Result<Interpretation> EvalStratifiedImpl(
     }
     if (stratum_rules.empty()) continue;
     // Negation refers only to strictly lower strata, whose extents are
-    // final in `interp`; freeze a copy as the negation context.  When
-    // re-entering the snapshot's stratum, the frozen context and the
-    // inner frame come from the snapshot instead (the frame's interp
-    // already carries everything the lower strata established).
+    // final in `interp`, and the fixpoint does not write `interp`: it is
+    // its own frozen negation context.  When re-entering the snapshot's
+    // stratum, the inner frame comes from the snapshot.
     const bool resuming_here = resume != nullptr && s == start_stratum;
-    Interpretation before = resuming_here ? resume->neg_context : interp;
 
     LeastModelControl control;
     snapshot::CheckpointHooks hooks;
@@ -82,7 +84,7 @@ Result<Interpretation> EvalStratifiedImpl(
         snap.charges_at_barrier = v.barrier_charges;
         snap.outer_index = s;
         snap.inner_active = true;
-        snap.neg_context = before;
+        snap.neg_context = interp;
         snap.inner = snapshot::MaterializeFrame(v);
         return snap;
       };
@@ -99,8 +101,11 @@ Result<Interpretation> EvalStratifiedImpl(
     EvalOptions stratum_opts = eff_opts;
     if (resuming_here) stratum_opts.seminaive = resume->inner.seminaive;
     AWR_ASSIGN_OR_RETURN(
-        interp, LeastModelWithFrozenNegation(stratum_rules, interp, before,
-                                             stratum_opts, ctx, control));
+        Interpretation derived,
+        LeastModelWithFrozenNegation(stratum_rules, interp,
+                                     FrozenNegation{&interp, nullptr},
+                                     stratum_opts, ctx, control));
+    interp.OverlayWith(std::move(derived));
   }
   return interp;
 }

@@ -1,6 +1,7 @@
 #include "awr/datalog/wellfounded.h"
 
 #include <optional>
+#include <utility>
 
 #include "awr/common/thread_pool.h"
 
@@ -32,9 +33,16 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
     edb_fp = snapshot::DatabaseFingerprint(edb);
   }
 
-  // I_{k+1} = S(I_k), I_0 = ∅.  Track the last two iterates; the
-  // sequence converges when I_{k+1} == I_{k-1} (period 2) or
-  // I_{k+1} == I_k (2-valued).
+  // The evaluation's one copy of the EDB, the base every alternation
+  // step borrows: its indexes and column stores are built once.
+  Interpretation base = edb;
+
+  // I_{k+1} = S(I_k), I_0 = ∅.  An iterate I_k (k >= 1) is kept as its
+  // derived part — the extents of the rules' head predicates; the rest
+  // of it is the base.  I_0 holds nothing at all, EDB facts included,
+  // so only from step 1 on does negation read EDB facts from the base.
+  // Track the last two iterates; the sequence converges when
+  // I_{k+1} == I_{k-1} (period 2) or I_{k+1} == I_k (2-valued).
   Interpretation prev_prev;  // I_{k-1}
   Interpretation prev;       // I_k, starts as I_0 = ∅
   bool have_two = false;
@@ -44,16 +52,29 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
   // snapshot's barrier, so the resumed loop must not charge it again.
   bool pending_inner = false;
   if (resume != nullptr) {
-    prev = resume->neg_context;
-    prev_prev = resume->prev_prev;
+    prev = DerivedPart(rules, resume->neg_context);
+    prev_prev = DerivedPart(rules, resume->prev_prev);
     have_two = resume->have_two;
     step = resume->outer_index;
     pending_inner = resume->inner_active;
   }
   uint64_t outer_barrier_charges = ctx->total_charges();
 
+  // The full iterate I_k whose derived part is `derived`.
+  auto full = [&base](const Interpretation& derived, uint64_t k) {
+    return k == 0 ? Interpretation() : Overlaid(base, derived);
+  };
+  // I_{k+1} == I_j, given I_{k+1}'s derived part `next`.  The two share
+  // the base unless j == 0, and I_{k+1} == ∅ iff it has no facts: then
+  // neither the base nor `next` (which holds the base's head facts) has.
+  auto same_as = [&base](const Interpretation& next,
+                         const Interpretation& derived, uint64_t j) {
+    if (j == 0) return next.TotalFacts() == 0 && base.TotalFacts() == 0;
+    return next == derived;
+  };
+
   // The outer barrier: between alternation steps, before the next outer
-  // ChargeRound.
+  // ChargeRound.  Full iterates are built only here, at capture.
   auto build_outer = [&] {
     snapshot::EvalSnapshot s;
     s.engine = snapshot::EngineKind::kWellFounded;
@@ -63,8 +84,8 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
     s.outer_index = step;
     s.have_two = have_two;
     s.inner_active = false;
-    s.neg_context = prev;
-    s.prev_prev = prev_prev;
+    s.neg_context = full(prev, step);
+    if (have_two) s.prev_prev = full(prev_prev, step - 1);
     return s;
   };
 
@@ -110,24 +131,30 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
     control.resume = pending_inner ? &resume->inner : nullptr;
     const EvalOptions& step_opts =
         pending_inner ? resumed_step_opts : eff_opts;
-    auto next_result =
-        LeastModelWithFrozenNegation(rules, edb, prev, step_opts, ctx,
-                                     control);
+    const FrozenNegation neg =
+        step == 0 ? FrozenNegation{} : FrozenNegation{&base, &prev};
+    auto next_result = LeastModelWithFrozenNegation(rules, base, neg,
+                                                    step_opts, ctx, control);
     pending_inner = false;
     // On an interrupt the inner hooks have already captured the barrier.
     if (!next_result.ok()) return next_result.status();
     Interpretation next = std::move(*next_result);
-    if (next == prev) {
+    if (same_as(next, prev, step)) {
       // Total (2-valued) fixpoint.
-      return ThreeValuedInterp{next, next};
+      Interpretation model = std::move(base);
+      model.OverlayWith(std::move(next));
+      return ThreeValuedInterp{model, std::move(model)};
     }
-    if (have_two && next == prev_prev) {
+    if (have_two && same_as(next, prev_prev, step - 1)) {
       // Period-2 limit: the smaller iterate is the certain set T, the
-      // larger is the possible set (complement of F).
-      if (next.IsSubsetOf(prev)) {
-        return ThreeValuedInterp{std::move(next), std::move(prev)};
-      }
-      return ThreeValuedInterp{std::move(prev), std::move(next)};
+      // larger is the possible set (complement of F).  Both are past
+      // I_0 here, so they share the base.
+      if (!next.IsSubsetOf(prev)) std::swap(next, prev);
+      Interpretation possible = base;
+      possible.OverlayWith(std::move(prev));
+      Interpretation certain = std::move(base);
+      certain.OverlayWith(std::move(next));
+      return ThreeValuedInterp{std::move(certain), std::move(possible)};
     }
     prev_prev = std::move(prev);
     prev = std::move(next);

@@ -26,6 +26,15 @@ namespace awr::datalog {
 /// of *possible* facts (complement of F).  The result is 3-valued:
 /// `certain` = T, `possible` ⊇ certain, undefined in between.
 ///
+/// Every step borrows one copy of `edb`, made once per evaluation, as
+/// its base (see LeastModelWithFrozenNegation), and the loop keeps and
+/// compares only the derived part of each iterate — the extents of the
+/// rules' head predicates; the rest of every I_k (k >= 1) is the EDB.
+/// I_0 = ∅ is the exception: it holds no EDB facts either, so in the
+/// first step `not e(t)` holds for every t, EDB predicates included.
+/// Full iterates are built only for a checkpoint capture and for the
+/// returned model.
+///
 /// For non-stratified programs like the paper's WIN–MOVE game (Example
 /// 3) the model is genuinely 3-valued; `ThreeValuedInterp::IsTwoValued`
 /// is the executable notion of the program being *well-defined*.

@@ -158,7 +158,11 @@ struct CheckpointPolicy {
 struct LeastModelFrameView {
   bool seminaive = true;
   uint64_t rounds_done = 0;
-  const datalog::Interpretation* interp = nullptr;
+  /// The loop's state in the split form it keeps: the borrowed base and
+  /// the extents of the head predicates.  The frame's interpretation is
+  /// `base` with `derived` laid over it, built only by MaterializeFrame.
+  const datalog::Interpretation* base = nullptr;
+  const datalog::Interpretation* derived = nullptr;
   /// Null in naive mode.
   const datalog::Interpretation* delta = nullptr;
   /// total_charges() when this barrier was reached.
@@ -169,7 +173,7 @@ inline LeastModelFrame MaterializeFrame(const LeastModelFrameView& v) {
   LeastModelFrame f;
   f.seminaive = v.seminaive;
   f.rounds_done = v.rounds_done;
-  if (v.interp != nullptr) f.interp = *v.interp;
+  if (v.base != nullptr) f.interp = datalog::Overlaid(*v.base, *v.derived);
   if (v.delta != nullptr) f.delta = *v.delta;
   return f;
 }

@@ -47,6 +47,64 @@ TEST(InterpretationTest, EqualityIsExtentWise) {
   EXPECT_EQ(c, Interpretation{});
 }
 
+TEST(InterpretationTest, EmptyExtentEqualsMissingEntryOnEitherSide) {
+  // Empty entries interleaved with non-empty ones, on both sides and in
+  // both argument orders.
+  Interpretation a, b;
+  a.AddFact("m", {Value::Int(1)});
+  a.MutableExtent("a");
+  a.MutableExtent("z");
+  b.MutableExtent("b");
+  b.AddFact("m", {Value::Int(1)});
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b, a);
+  // An empty entry never stands in for a non-empty one.
+  Interpretation c;
+  c.MutableExtent("m");
+  EXPECT_NE(a, c);
+  EXPECT_NE(c, a);
+  // Nor does it hide a missing trailing extent.
+  b.AddFact("z", {Value::Int(2)});
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, a);
+}
+
+TEST(InterpretationTest, SameSizeExtentsWithDifferentFactsDiffer) {
+  Interpretation a, b;
+  a.AddFact("p", {Value::Int(1)});
+  a.AddFact("p", {Value::Int(2)});
+  a.AddFact("q", {Value::Int(9)});
+  b.AddFact("p", {Value::Int(1)});
+  b.AddFact("p", {Value::Int(3)});
+  b.AddFact("q", {Value::Int(9)});
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, a);
+  // Same per-predicate sizes, with the facts under different predicates.
+  Interpretation c, d;
+  c.AddFact("p", {Value::Int(1)});
+  c.AddFact("q", {Value::Int(2)});
+  d.AddFact("p", {Value::Int(2)});
+  d.AddFact("q", {Value::Int(1)});
+  EXPECT_NE(c, d);
+  EXPECT_NE(d, c);
+}
+
+TEST(InterpretationTest, OverlaidTakesOverlayEntriesAndKeepsTheRest) {
+  Interpretation base, overlay;
+  base.AddFact("edb", {Value::Int(1)});
+  base.AddFact("idb", {Value::Int(2)});
+  base.MutableExtent("empty");
+  overlay.AddFact("idb", {Value::Int(2)});
+  overlay.AddFact("idb", {Value::Int(3)});
+  overlay.AddFact("new", {Value::Int(4)});
+  Interpretation full = Overlaid(base, overlay);
+  EXPECT_EQ(full.ToString(),
+            "edb = {<1>}\nempty = {}\nidb = {<2>, <3>}\nnew = {<4>}\n");
+  Interpretation moved = base;
+  moved.OverlayWith(overlay);
+  EXPECT_EQ(moved.ToString(), full.ToString());
+}
+
 TEST(InterpretationTest, DeterministicToString) {
   Interpretation interp;
   interp.AddFact("b_pred", {Value::Int(2)});

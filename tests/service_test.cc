@@ -909,6 +909,21 @@ TEST(SocketServerTest, DisconnectMidRequestDoesNotLoseTheResult) {
     ::close(*fd);
   }
 
+  // The submit frame may still be unread when the connection closes, and
+  // a Fetch that lands before the server has registered the request
+  // gets a (terminal) NotFound.  Wait, bounded, until the server holds
+  // the orphan — in flight, or finished with its result stored.
+  auto server_has_it = [&service] {
+    const StatsReply stats = service.Stats();
+    return stats.Get("inflight") + stats.Get("completed_ok") +
+               stats.Get("failed_terminal") + stats.Get("transient") >
+           0;
+  };
+  for (int i = 0; i < 10000 && !server_has_it(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(server_has_it()) << "the server never picked up the submit";
+
   // The server finishes the execution anyway; Fetch (with retry, in
   // case we land while it is still running) returns the result.
   Client client(path);
