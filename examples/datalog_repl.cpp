@@ -208,6 +208,8 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << vm.ops_dispatched << " ops, " << vm.word_opens << " word / "
             << vm.row_opens << " row loop opens, " << vm.vm_facts
             << " facts emitted\n";
+  std::cout << "negated lookups: " << vm.neg_word_tests << " on words / "
+            << vm.neg_row_tests << " on tuples\n";
   std::cout << "plan cache:     " << vm.cache_entries << " resident program(s), "
             << vm.cache_hits << "/" << lookups << " hits ("
             << std::fixed << std::setprecision(1)

@@ -115,6 +115,12 @@ cmake --build build-asan -j"$(nproc)" \
 # dispatch loop — and the execution/verifier suites drive the dispatch
 # loop over handcrafted programs.
 (cd build-asan && ctest --output-on-failure -R 'Vm')
+# Negated atoms on word probes and their row fallback (the row path is
+# the only one under AWR_NO_COLUMNAR=1), plus extent rendering, which
+# walks Sorted() over column stores and rows.
+(cd build-asan && ctest --output-on-failure -R 'VmNegation|ValueSetTest')
+(cd build-asan && AWR_NO_COLUMNAR=1 \
+  ctest --output-on-failure -R 'VmNegation|ValueSetTest')
 scripts/service_smoke.sh build-asan/src/awr/service/awrd asan
 
 cmake -B build-tsan -S . -DAWR_SANITIZE=thread
@@ -143,6 +149,11 @@ cmake --build build-tsan -j"$(nproc)" \
 # awr_property_test.
 (cd build-tsan && AWR_EVAL_THREADS=4 \
   ctest --output-on-failure -R 'Vm|Bytecode')
+# Workers test negated atoms on the column indexes of J built before
+# fan-out (vm::PrepareVmFire), and fall back to the row path where one
+# is missing.
+(cd build-tsan && AWR_EVAL_THREADS=4 \
+  ctest --output-on-failure -R 'VmNegation')
 scripts/service_smoke.sh build-tsan/src/awr/service/awrd tsan
 
 # The service benchmark emits BENCH_service.json (QPS, p50/p99, shed

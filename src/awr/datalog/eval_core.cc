@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "awr/common/thread_pool.h"
 #include "awr/datalog/vm/cache.h"
@@ -283,6 +284,17 @@ void ResetColumnarExecStats() {
   counters.probes.store(0, std::memory_order_relaxed);
   counters.probe_hits.store(0, std::memory_order_relaxed);
   counters.facts.store(0, std::memory_order_relaxed);
+}
+
+void TestNegationAgainst(
+    BodyContext& ctx,
+    std::function<const ValueSet*(const std::string& pred)> extent_of) {
+  ctx.negation_holds = [extent_of](const std::string& pred,
+                                   const Value& fact) {
+    const ValueSet* extent = extent_of(pred);
+    return extent == nullptr || !extent->Contains(fact);
+  };
+  ctx.negated_extent = std::move(extent_of);
 }
 
 Status ForEachBodyMatch(const Rule& rule, const RulePlan& plan,

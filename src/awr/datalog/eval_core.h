@@ -57,6 +57,10 @@ bool BytecodeEnabledByDefault();
 ///    satisfied.  The choice of this test is exactly the semantic knob
 ///    the paper turns: "was not derived so far" (inflationary) versus
 ///    "cannot be derived at all" (valid / well-founded).
+///
+/// Engines that test negation against a frozen interpretation J set
+/// both `negation_holds` and `negated_extent` through
+/// TestNegationAgainst, so the two cannot disagree.
 struct BodyContext {
   const FunctionRegistry* fns;
   std::function<const ValueSet&(const std::string& pred, size_t body_index)>
@@ -92,7 +96,25 @@ struct BodyContext {
   /// the VM declines fall back to the interpreter.  When false the
   /// interpreter runs every rule — the reference executor.
   bool use_bytecode = BytecodeEnabledByDefault();
+  /// Optional: the extent of `pred` in the frozen interpretation J that
+  /// `not pred(t)` is tested against, or nullptr when J has no facts
+  /// (the well-founded I_0 = ∅).  When set, compiled programs resolve
+  /// each negated atom's extent once per firing and test the raw
+  /// argument words on its full-arity column index, building no tuple
+  /// (DESIGN.md §14).  When unset, every test goes through
+  /// `negation_holds`.  The interpreter always calls `negation_holds`,
+  /// so the bytecode/interpreter differential cross-checks the two.
+  /// The extents must not change while rules fire, and lazy column
+  /// indexes are built on them on the calling thread.
+  std::function<const ValueSet*(const std::string& pred)> negated_extent =
+      nullptr;
 };
+
+/// Sets both negation members of `ctx` from one resolver: `not pred(t)`
+/// holds iff `extent_of(pred)` is null or does not contain t.
+void TestNegationAgainst(
+    BodyContext& ctx,
+    std::function<const ValueSet*(const std::string& pred)> extent_of);
 
 /// Enumerates every satisfying assignment of `rule`'s body (processed in
 /// `plan` order) and invokes `on_match(env)` for each.  A non-OK status

@@ -80,12 +80,12 @@ Result<Interpretation> EvalInflationaryImpl(
         [&frozen](const std::string& pred, size_t) -> const ValueSet& {
           return frozen.Extent(pred);
         },
-        [&frozen](const std::string& pred, const Value& fact) {
-          return !frozen.Holds(pred, fact);
-        },
-        pool != nullptr ? nullptr : ctx, opts.use_join_index};
+        nullptr, pool != nullptr ? nullptr : ctx, opts.use_join_index};
     body_ctx.use_columnar = opts.use_columnar;
     body_ctx.use_bytecode = opts.use_bytecode;
+    TestNegationAgainst(body_ctx, [&frozen](const std::string& pred) {
+      return &frozen.Extent(pred);
+    });
     size_t added = 0;
     if (pool != nullptr) {
       // Because rules read the frozen snapshot and insertions are

@@ -70,12 +70,13 @@ class SplitState {
     return IsHead(pred) ? derived.Extent(pred) : base_.Extent(pred);
   }
 
-  // `not pred(fact)` against the frozen J described by `neg`.
-  bool NegationHolds(const FrozenNegation& neg, const std::string& pred,
-                     const Value& fact) const {
+  // The extent `not pred(t)` is tested against in the frozen J
+  // described by `neg`; nullptr when J is empty.
+  const ValueSet* NegatedExtent(const FrozenNegation& neg,
+                                const std::string& pred) const {
     const Interpretation* j =
         neg.derived != nullptr && IsHead(pred) ? neg.derived : neg.base;
-    return j == nullptr || !j->Holds(pred, fact);
+    return j == nullptr ? nullptr : &j->Extent(pred);
   }
 
   // Overlaid(base, derived).ApproxBytes(), without building it.
@@ -101,20 +102,24 @@ class SplitState {
 // already in `existing`); returns the number of new facts.  Dispatches
 // through FireRuleFacts, so rules run their compiled programs (flat
 // relations on word cursors) or the interpreter — same fact set and
-// poll sites either way.
+// poll sites either way.  Both extents are resolved once per firing;
+// the output entry is created at the first new fact, since an empty
+// entry would change ApproxBytes and with it the memory charges.
 Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
                         const Interpretation& existing, Interpretation* out) {
+  const std::string& head = pr.rule.head.predicate;
+  const ValueSet& known = existing.Extent(head);
+  ValueSet* sink = nullptr;
   size_t added = 0;
   AWR_RETURN_IF_ERROR(FireRuleFacts(
       pr, ctx,
       [&](Value fact) -> Status {
-        if (!existing.Holds(pr.rule.head.predicate, fact) &&
-            out->AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
-          ++added;
-        }
+        if (known.Contains(fact)) return Status::OK();
+        if (sink == nullptr) sink = &out->MutableExtent(head);
+        if (sink->Insert(fact)) ++added;
         return Status::OK();
       },
-      /*known=*/&existing.Extent(pr.rule.head.predicate)));
+      &known));
   return added;
 }
 
@@ -232,13 +237,14 @@ Result<Interpretation> LeastModelWithFrozenNegation(
       [&state](const std::string& pred, size_t) -> const ValueSet& {
         return state.Extent(pred);
       },
-      [&state, &neg](const std::string& pred, const Value& fact) {
-        return state.NegationHolds(neg, pred, fact);
-      },
+      nullptr,
       // Parallel workers poll the governor instead (RunFireTasks).
       pool != nullptr ? nullptr : ctx, opts.use_join_index};
   body_ctx.use_columnar = opts.use_columnar;
   body_ctx.use_bytecode = opts.use_bytecode;
+  TestNegationAgainst(body_ctx, [&state, &neg](const std::string& pred) {
+    return state.NegatedExtent(neg, pred);
+  });
   auto fire = [&](const Interpretation* prev_delta, Interpretation* delta) {
     return FireRound(rules, body_ctx, state, prev_delta, pool,
                      governor ? &*governor : nullptr, delta);

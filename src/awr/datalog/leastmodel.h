@@ -110,6 +110,13 @@ struct LeastModelControl {
 /// `base`.  A null `derived` takes every extent from `base`; a null
 /// `base` is the empty interpretation — the well-founded engine's
 /// I_0 = ∅, under which `not e(t)` holds for EDB predicates too.
+///
+/// Like the least-model call's `base`, both interpretations get lazy
+/// caches built on them: compiled programs test `not p(t)` on the
+/// full-arity column index of J's extent for p (BodyContext::
+/// negated_extent), built on the calling thread and pre-built there
+/// before a parallel round.  They must be the engine's own, never a
+/// caller's const Database shared with other threads.
 struct FrozenNegation {
   const Interpretation* base = nullptr;
   const Interpretation* derived = nullptr;

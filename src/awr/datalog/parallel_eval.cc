@@ -178,20 +178,23 @@ Result<size_t> RunFireTasks(const std::vector<FireTask>& tasks,
     }
   }
 
+  // Like the sequential FireRule: both extents are resolved once per
+  // task, the output entry at the task's first new fact.
   auto run_task = [&existing, &contexts, &results](size_t i,
                                                    const FireTask& t) {
-    const PlannedRule& pr = *t.rule;
+    const std::string& head = t.rule->rule.head.predicate;
+    const ValueSet& known = existing.Extent(head);
     TaskResult& result = results[i];
+    ValueSet* sink = nullptr;
     result.status = FireRuleFacts(
-        pr, contexts[i],
+        *t.rule, contexts[i],
         [&](Value fact) -> Status {
-          if (!existing.Holds(pr.rule.head.predicate, fact)) {
-            result.derived.AddFactTuple(pr.rule.head.predicate,
-                                        std::move(fact));
-          }
+          if (known.Contains(fact)) return Status::OK();
+          if (sink == nullptr) sink = &result.derived.MutableExtent(head);
+          sink->Insert(fact);
           return Status::OK();
         },
-        /*known=*/&existing.Extent(pr.rule.head.predicate));
+        &known);
   };
 
   if (pool == nullptr) {
@@ -236,17 +239,11 @@ Result<size_t> RunFireTasks(const std::vector<FireTask>& tasks,
   // Deterministic merge in task order.  Duplicates across tasks (the
   // same head derived by different rules or chunks) collapse here just
   // as they do in the sequential shared accumulator, so `added` counts
-  // distinct new facts exactly as FireRule's loop does.
+  // distinct new facts exactly as FireRule's loop does.  Task results
+  // hold only facts new to `existing`, in non-empty extents, so every
+  // entry this creates in `out` receives a new fact.
   size_t added = 0;
-  for (const TaskResult& r : results) {
-    for (const auto& [pred, extent] : r.derived) {
-      for (const Value& fact : extent) {
-        if (!existing.Holds(pred, fact) && out->AddFactTuple(pred, fact)) {
-          ++added;
-        }
-      }
-    }
-  }
+  for (const TaskResult& r : results) added += out->InsertAll(r.derived);
   return added;
 }
 

@@ -1,5 +1,6 @@
 #include "awr/datalog/vm/vm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
@@ -17,6 +18,8 @@ struct VmStatCounters {
   std::atomic<uint64_t> word_opens{0};
   std::atomic<uint64_t> row_opens{0};
   std::atomic<uint64_t> facts{0};
+  std::atomic<uint64_t> neg_word_tests{0};
+  std::atomic<uint64_t> neg_row_tests{0};
 };
 
 VmStatCounters& VmCounters() {
@@ -55,6 +58,16 @@ struct Cursor {
   bool hit = false;  ///< chain: some row matched since the open
 };
 
+/// One negated atom's extent in the frozen J, resolved once per firing
+/// from BodyContext::negated_extent.
+struct NegTarget {
+  const ValueSet* extent = nullptr;  ///< nullptr: J has no facts
+  bool simple = false;  ///< every argument a register or a constant
+  /// The extent's full-arity column index, when available.
+  const ValueSet::ColumnStore* store = nullptr;
+  const ValueSet::ColumnStore::Index* index = nullptr;
+};
+
 struct ExecState {
   const CompiledRule& cr;
   const BodyContext& ctx;
@@ -82,28 +95,76 @@ struct ExecState {
   const ValueSet::ColumnStore::Index* known_index = nullptr;
   std::vector<uintptr_t> head_words = {};
   std::vector<Value> head_buf = {};
+  /// Parallel to cr.negs when ctx.negated_extent is set, else empty
+  /// (every negated atom then goes through ctx.negation_holds).
+  std::vector<NegTarget> negs = {};
+  uint64_t neg_word_tests = 0;  ///< answered without building a tuple
+  uint64_t neg_row_tests = 0;   ///< answered on a built tuple
 };
 
-/// Resolves the word-level duplicate filter over `known` for a head of
-/// `arity` all-inline components: the extent's full-arity column index,
-/// or nullptr when unavailable (non-flat extent, arity mismatch, worker
-/// thread without a pre-built index, >8 positions).
-const ValueSet::ColumnStore::Index* KnownFactsIndex(
-    const ValueSet* known, size_t arity, bool allow_build,
+/// The full-arity column index of `extent` for `arity`-word lookups
+/// (the emit path's `known` filter, negated atoms), or nullptr when
+/// unavailable (non-flat extent, arity mismatch, worker thread without
+/// a pre-built index, >8 positions).
+const ValueSet::ColumnStore::Index* FullArityIndex(
+    const ValueSet* extent, size_t arity, bool allow_build,
     const ValueSet::ColumnStore** store_out) {
-  if (known == nullptr || arity == 0 || arity > 8) return nullptr;
+  if (extent == nullptr || arity == 0 || arity > 8) return nullptr;
   const ValueSet::ColumnStore* store =
-      allow_build ? known->columns()
-                  : (known->columnar_built() ? known->columns() : nullptr);
+      allow_build ? extent->columns()
+                  : (extent->columnar_built() ? extent->columns() : nullptr);
   if (store == nullptr || store->arity != arity) return nullptr;
   std::vector<size_t> all_positions(arity);
   for (size_t i = 0; i < arity; ++i) all_positions[i] = i;
   const ValueSet::ColumnStore::Index* index =
-      allow_build ? known->ColumnIndex(all_positions)
-                  : known->FindColumnIndex(all_positions);
+      allow_build ? extent->ColumnIndex(all_positions)
+                  : extent->FindColumnIndex(all_positions);
   if (index == nullptr) return nullptr;
   *store_out = store;
   return index;
+}
+
+/// True iff the store holds a row whose `arity` words equal `words`:
+/// one hash, one chain walk, no Value built.
+bool StoreHasWords(const ValueSet::ColumnStore& store,
+                   const ValueSet::ColumnStore::Index& index,
+                   const uintptr_t* words, size_t arity) {
+  const size_t h = ValueSet::ColumnStore::HashWords(words, arity);
+  for (int32_t r = index.heads[h & index.mask]; r >= 0; r = index.next[r]) {
+    bool match = true;
+    for (size_t j = 0; j < arity; ++j) {
+      if (store.cols[j][r] != words[j]) {
+        match = false;
+        break;
+      }
+    }
+    if (match) return true;
+  }
+  return false;
+}
+
+/// Resolves every negated atom of `cr` against ctx.negated_extent (the
+/// caller checks it is set): its extent in J and, for atoms whose
+/// arguments are all registers or constants, that extent's full-arity
+/// column index (built when `allow_build`, looked up otherwise).
+std::vector<NegTarget> ResolveNegTargets(const CompiledRule& cr,
+                                         const BodyContext& ctx,
+                                         bool allow_build) {
+  std::vector<NegTarget> targets(cr.negs.size());
+  for (size_t i = 0; i < cr.negs.size(); ++i) {
+    const CompiledRule::NegDesc& nd = cr.negs[i];
+    NegTarget& nt = targets[i];
+    nt.extent = ctx.negated_extent(cr.rule.body[nd.literal].atom.predicate);
+    nt.simple = std::all_of(
+        nd.arg_terms.begin(), nd.arg_terms.end(), [&cr](uint32_t t) {
+          return cr.terms[t].kind != CompiledRule::TermNode::Kind::kApply;
+        });
+    if (nt.simple && ctx.use_columnar) {
+      nt.index = FullArityIndex(nt.extent, nd.arg_terms.size(), allow_build,
+                                &nt.store);
+    }
+  }
+  return targets;
 }
 
 /// Doubles the emit-dedup table and re-seats every recorded projection.
@@ -352,9 +413,41 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
   return in.fail;
 }
 
+/// `not p(t)`.  With a resolved target and register/constant arguments
+/// the test runs on raw words: an empty J holds at once, and a
+/// full-arity column index answers from the gathered argument words.
+/// Otherwise the arguments are evaluated as the interpreter does (so
+/// application errors surface identically) and the built tuple is
+/// tested against the target extent, or through ctx.negation_holds
+/// when no target was resolved.
 size_t HandleNegate(ExecState& s, const Instr& in, size_t pc, Status* st) {
   const CompiledRule::NegDesc& nd = s.cr.negs[in.a];
-  const Literal& lit = s.cr.rule.body[nd.literal];
+  const NegTarget* nt = s.negs.empty() ? nullptr : &s.negs[in.a];
+  if (nt != nullptr && nt->simple) {
+    if (nt->extent == nullptr || nt->extent->empty()) {
+      ++s.neg_word_tests;
+      return pc + 1;
+    }
+    if (nt->index != nullptr) {
+      uintptr_t words[8];
+      const size_t arity = nd.arg_terms.size();
+      bool inline_args = true;
+      for (size_t j = 0; j < arity && inline_args; ++j) {
+        const CompiledRule::TermNode& n = s.cr.terms[nd.arg_terms[j]];
+        const Value& v = n.kind == CompiledRule::TermNode::Kind::kReg
+                             ? s.regs[n.a]
+                             : s.cr.consts[n.a];
+        inline_args = v.is_inline();
+        if (inline_args) words[j] = v.inline_bits();
+      }
+      if (inline_args) {
+        ++s.neg_word_tests;
+        return StoreHasWords(*nt->store, *nt->index, words, arity)
+                   ? in.fail
+                   : pc + 1;
+      }
+    }
+  }
   std::vector<Value> args;
   args.reserve(nd.arg_terms.size());
   for (uint32_t t : nd.arg_terms) {
@@ -365,11 +458,14 @@ size_t HandleNegate(ExecState& s, const Instr& in, size_t pc, Status* st) {
     }
     args.push_back(*std::move(v));
   }
-  if (s.ctx.negation_holds(lit.atom.predicate,
-                           Value::Tuple(std::move(args)))) {
-    return pc + 1;
-  }
-  return in.fail;
+  ++s.neg_row_tests;
+  const Value fact = Value::Tuple(std::move(args));
+  const bool holds =
+      nt != nullptr
+          ? nt->extent == nullptr || !nt->extent->Contains(fact)
+          : s.ctx.negation_holds(s.cr.rule.body[nd.literal].atom.predicate,
+                                 fact);
+  return holds ? pc + 1 : in.fail;
 }
 
 size_t HandleCompare(ExecState& s, const Instr& in, size_t pc, Status* st) {
@@ -474,23 +570,11 @@ bool EmitDeduped(ExecState& s, Status* st, bool* delivered_ok) {
   if ((s.dd_words.size() / arity) * 2 >= s.dd_table.size()) {
     GrowEmitTable(s, arity);
   }
-  if (s.known_index != nullptr) {
-    const size_t h =
-        ValueSet::ColumnStore::HashWords(s.head_words.data(), arity);
-    for (int32_t r = s.known_index->heads[h & s.known_index->mask]; r >= 0;
-         r = s.known_index->next[r]) {
-      bool match = true;
-      for (size_t j = 0; j < arity; ++j) {
-        if (s.known_store->cols[j][r] != s.head_words[j]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        *delivered_ok = true;  // already known: caller no-op, skip
-        return true;
-      }
-    }
+  if (s.known_index != nullptr &&
+      StoreHasWords(*s.known_store, *s.known_index, s.head_words.data(),
+                    arity)) {
+    *delivered_ok = true;  // already known: caller no-op, skip
+    return true;
   }
   for (size_t j = 0; j < arity; ++j) {
     s.head_buf[j] = Value::FromInlineBits(s.head_words[j]);
@@ -605,8 +689,9 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
     s.dd_table.assign(16, -1);
     s.dd_mask = 15;
     s.known_index =
-        KnownFactsIndex(known, head_arity, allow_build, &s.known_store);
+        FullArityIndex(known, head_arity, allow_build, &s.known_store);
   }
+  if (ctx.negated_extent) s.negs = ResolveNegTargets(cr, ctx, allow_build);
   const Status st = Run(s);
   VmStatCounters& counters = VmCounters();
   counters.rules.fetch_add(1, std::memory_order_relaxed);
@@ -614,6 +699,14 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
   counters.word_opens.fetch_add(s.word_opens, std::memory_order_relaxed);
   counters.row_opens.fetch_add(s.row_opens, std::memory_order_relaxed);
   counters.facts.fetch_add(s.facts, std::memory_order_relaxed);
+  if (s.neg_word_tests != 0) {
+    counters.neg_word_tests.fetch_add(s.neg_word_tests,
+                                      std::memory_order_relaxed);
+  }
+  if (s.neg_row_tests != 0) {
+    counters.neg_row_tests.fetch_add(s.neg_row_tests,
+                                     std::memory_order_relaxed);
+  }
   ColumnarExecStats firing;
   const bool word_firing = s.word_opens > 0 && s.row_opens == 0;
   firing.batch_rules_fired = word_firing ? 1 : 0;
@@ -654,8 +747,10 @@ std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
     // The emit path's duplicate filter (ExecuteCompiledRule looks the
     // index up with FindColumnIndex on workers).
     const ValueSet::ColumnStore* store = nullptr;
-    KnownFactsIndex(known, cr->head.size(), /*allow_build=*/true, &store);
+    FullArityIndex(known, cr->head.size(), /*allow_build=*/true, &store);
   }
+  // The negated atoms' column indexes on J, likewise.
+  if (ctx.negated_extent) ResolveNegTargets(*cr, ctx, /*allow_build=*/true);
   return cr;
 }
 
@@ -667,6 +762,8 @@ VmExecStats GetVmExecStats() {
   out.word_opens = counters.word_opens.load(std::memory_order_relaxed);
   out.row_opens = counters.row_opens.load(std::memory_order_relaxed);
   out.vm_facts = counters.facts.load(std::memory_order_relaxed);
+  out.neg_word_tests = counters.neg_word_tests.load(std::memory_order_relaxed);
+  out.neg_row_tests = counters.neg_row_tests.load(std::memory_order_relaxed);
   const CompiledPlanCache::Counters cache =
       CompiledPlanCache::Global().counters();
   out.cache_hits = cache.hits;
@@ -685,6 +782,8 @@ void ResetVmExecStats() {
   counters.word_opens.store(0, std::memory_order_relaxed);
   counters.row_opens.store(0, std::memory_order_relaxed);
   counters.facts.store(0, std::memory_order_relaxed);
+  counters.neg_word_tests.store(0, std::memory_order_relaxed);
+  counters.neg_row_tests.store(0, std::memory_order_relaxed);
   CompiledPlanCache::Global().ResetCounters();
 }
 

@@ -29,6 +29,12 @@ namespace awr::datalog::vm {
 /// delivery would have been a caller no-op; the per-match interrupt
 /// poll still fires).
 ///
+/// When ctx.negated_extent is set, each negated atom's extent in J and
+/// its full-arity column index are resolved once per firing, and
+/// `not p(t)` is tested on the raw argument words where it can be
+/// (DESIGN.md §14); VmExecStats counts word-level and tuple-level
+/// tests.
+///
 /// Each firing also feeds the process-wide ColumnarExecStats: a word
 /// firing when every loop it opened was a word cursor, its word-chain
 /// opens and how many of them matched, and its word-level emits.
@@ -46,8 +52,9 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
 /// the compiled program for `planned` from the global cache and
 /// materializes the column stores/indexes its word-capable steps would
 /// read — plus, for infallible rules, the full-arity index on `known`
-/// that the emit path's duplicate filter probes — so workers execute
-/// with const reads only.  Returns the program, or nullptr when the
+/// that the emit path's duplicate filter probes, and the full-arity
+/// index on each negated atom's extent in J — so workers execute with
+/// const reads only.  Returns the program, or nullptr when the
 /// rule is not lowerable.
 std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
                                                   const BodyContext& ctx,
@@ -63,6 +70,12 @@ struct VmExecStats {
   uint64_t word_opens = 0;       ///< loops opened on word-level cursors
   uint64_t row_opens = 0;        ///< loops opened on row-level cursors
   uint64_t vm_facts = 0;         ///< facts emitted by compiled programs
+  /// Negated-atom tests answered without building a tuple: an empty J,
+  /// or a probe of J's full-arity column index with the raw words.
+  uint64_t neg_word_tests = 0;
+  /// Negated-atom tests answered on a built tuple (hash-set lookup in J
+  /// or BodyContext::negation_holds).
+  uint64_t neg_row_tests = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;

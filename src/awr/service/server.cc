@@ -268,6 +268,8 @@ StatsReply QueryService::Stats() const {
   stats.counters.emplace_back("vm_rules_fired", vm.vm_rules_fired);
   stats.counters.emplace_back("vm_ops_dispatched", vm.ops_dispatched);
   stats.counters.emplace_back("vm_facts", vm.vm_facts);
+  stats.counters.emplace_back("vm_neg_word_tests", vm.neg_word_tests);
+  stats.counters.emplace_back("vm_neg_row_tests", vm.neg_row_tests);
   stats.counters.emplace_back("vm_cache_hits", vm.cache_hits);
   stats.counters.emplace_back("vm_cache_misses", vm.cache_misses);
   stats.counters.emplace_back("vm_cache_evictions", vm.cache_evictions);

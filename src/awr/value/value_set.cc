@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <sstream>
 #include <string_view>
 
 #include "awr/common/hash.h"
@@ -258,6 +259,19 @@ std::vector<Value> ValueSet::Sorted() const {
     return Value::Compare(a, b) < 0;
   });
   return out;
+}
+
+std::string ValueSet::ToString() const {
+  std::ostringstream os;
+  os << "{";
+  bool first = true;
+  for (const Value& v : Sorted()) {
+    if (!first) os << ", ";
+    first = false;
+    os << v;
+  }
+  os << "}";
+  return os.str();
 }
 
 Value ValueSet::ToValue() const {

@@ -5,6 +5,7 @@
 #include <deque>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -282,8 +283,10 @@ class ValueSet {
   /// The extent of a set Value.  `v` must be a set.
   static ValueSet FromValue(const Value& v);
 
-  /// Deterministic rendering `{a, b, c}` in canonical order.
-  std::string ToString() const { return ToValue().ToString(); }
+  /// Deterministic rendering `{a, b, c}` in canonical order: the bytes
+  /// of ToValue().ToString(), rendered from Sorted() so that no set
+  /// Value is interned.
+  std::string ToString() const;
 
  private:
   // Hash-table node + bucket share, on top of the element's own bytes.

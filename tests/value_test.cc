@@ -320,6 +320,59 @@ TEST(ValueSetTest, SubsetChecks) {
   EXPECT_TRUE(a.IsSubsetOf(a));
 }
 
+TEST(ValueSetTest, ToStringMatchesTheSetValueRendering) {
+  const Value big = Value::Int(int64_t{1} << 62);
+  std::vector<ValueSet> extents;
+  extents.emplace_back();  // empty
+  extents.push_back(ValueSet{Value::Pair(Value::Int(3), Value::Int(1)),
+                             Value::Pair(Value::Int(-2), Value::Int(7)),
+                             Value::Pair(Value::Int(3), Value::Int(0))});
+  // Nested: sets and tuples inside tuples.
+  extents.push_back(ValueSet{
+      Value::Pair(Value::Set({Value::Int(2), Value::Int(1)}), Value::Int(0)),
+      Value::Pair(Value::Set({}), Value::Atom("z")),
+      Value::Tuple({Value::Pair(Value::Int(1), Value::Int(2))})});
+  // Atoms render and order by spelling, not by intern id.
+  extents.push_back(ValueSet{Value::Tuple({Value::Atom("render_zeta")}),
+                             Value::Tuple({Value::Atom("render_alpha")}),
+                             Value::Tuple({Value::Atom("render_mid")})});
+  // Big ints live on the heap, beside inline ones.
+  extents.push_back(ValueSet{Value::Pair(big, Value::Int(1)),
+                             Value::Pair(Value::Int(5), big),
+                             Value::Pair(Value::Int(5), Value::Int(1))});
+  // Mixed arity and non-tuple elements.
+  extents.push_back(ValueSet{Value::Int(4), Value::Tuple({Value::Int(1)}),
+                             Value::Pair(Value::Int(0), Value::Int(0)),
+                             Value::Atom("a"), Value::Boolean(true)});
+  for (const ValueSet& extent : extents) {
+    EXPECT_EQ(extent.ToString(), extent.ToValue().ToString());
+  }
+  // The flat extent renders the same with its column store built.
+  ValueSet flat = extents[1];
+  if (flat.BuildColumns()) {
+    EXPECT_TRUE(flat.columnar_built());
+  }
+  EXPECT_EQ(flat.ToString(), "{<-2, 7>, <3, 0>, <3, 1>}");
+  EXPECT_EQ(extents[0].ToString(), "{}");
+  EXPECT_EQ(extents[3].ToString(),
+            "{<render_alpha>, <render_mid>, <render_zeta>}");
+}
+
+TEST(ValueSetTest, ToStringInternsNothing) {
+  ScopedInterning on(true);
+  // Flat tuples stay per-instance, but a set of them is interned, so
+  // rendering through ToValue() would grow the interner by one entry.
+  ValueSet extent;
+  for (int i = 0; i < 64; ++i) {
+    extent.Insert(Value::Pair(Value::Int(900000 + i), Value::Int(-i)));
+  }
+  const size_t before = Value::interner_stats().entries;
+  const std::string rendered = extent.ToString();
+  EXPECT_EQ(Value::interner_stats().entries, before);
+  EXPECT_EQ(rendered, extent.ToValue().ToString());
+  EXPECT_GT(Value::interner_stats().entries, before);
+}
+
 TEST(ValueTest, InlineBitsRoundTripAndCompare) {
   const Value scalars[] = {Value::Boolean(false), Value::Boolean(true),
                            Value::Int(-3), Value::Int(0), Value::Int(42),

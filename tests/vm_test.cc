@@ -14,11 +14,14 @@
 #include <vector>
 
 #include "awr/datalog/eval_core.h"
+#include "awr/datalog/inflationary.h"
 #include "awr/datalog/leastmodel.h"
 #include "awr/datalog/magic.h"
 #include "awr/datalog/parser.h"
+#include "awr/datalog/stratified.h"
 #include "awr/datalog/vm/bytecode.h"
 #include "awr/datalog/vm/cache.h"
+#include "awr/datalog/wellfounded.h"
 
 namespace awr::datalog::vm {
 namespace {
@@ -517,6 +520,238 @@ TEST(VmExecutionTest, MagicSetCompositionMatchesInterpreter) {
   auto b = MagicAnswers(*compiled, *magic, q);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->size(), b->size());
+}
+
+// ----------------------------------------------------------------------
+// Negated atoms on word probes (DESIGN.md §14): compiled programs test
+// `not p(t)` on the frozen extent's full-arity column index.  Every
+// case runs on the interpreter (the reference), on the VM with column
+// indexes, on the VM's row path (use_columnar = false, the
+// AWR_NO_COLUMNAR oracle) and on the VM at 4 threads, and all four must
+// render byte-identical models or statuses.
+
+enum class NegEngine { kStratified, kInflationary, kWellFounded };
+
+struct NegRun {
+  std::string out;  ///< rendered model, or the status
+  uint64_t word_tests = 0;
+  uint64_t row_tests = 0;
+};
+
+NegRun RunNegation(NegEngine engine, const std::string& text,
+                   const Database& edb, bool bytecode, bool columnar,
+                   size_t threads) {
+  NegRun run;
+  auto program = ParseProgram(text);
+  EXPECT_TRUE(program.ok()) << program.status();
+  if (!program.ok()) return run;
+  EvalOptions o;
+  o.use_bytecode = bytecode;
+  o.use_columnar = columnar;
+  o.num_threads = threads;
+  ResetVmExecStats();
+  auto render = [&run](const auto& result) {
+    run.out = result.ok() ? result->ToString() : result.status().ToString();
+  };
+  switch (engine) {
+    case NegEngine::kStratified:
+      render(EvalStratified(*program, edb, o));
+      break;
+    case NegEngine::kInflationary:
+      render(EvalInflationary(*program, edb, o));
+      break;
+    case NegEngine::kWellFounded:
+      render(EvalWellFounded(*program, edb, o));
+      break;
+  }
+  const VmExecStats stats = GetVmExecStats();
+  run.word_tests = stats.neg_word_tests;
+  run.row_tests = stats.neg_row_tests;
+  return run;
+}
+
+/// Runs `text` in all four configurations, expects identical output,
+/// and returns the sequential VM run with column indexes.
+NegRun ExpectNegationParity(NegEngine engine, const std::string& text,
+                            const Database& edb) {
+  const NegRun ref = RunNegation(engine, text, edb, false, false, 1);
+  const NegRun words = RunNegation(engine, text, edb, true, true, 1);
+  const NegRun rows = RunNegation(engine, text, edb, true, false, 1);
+  const NegRun threads = RunNegation(engine, text, edb, true, true, 4);
+  EXPECT_EQ(words.out, ref.out) << text;
+  EXPECT_EQ(rows.out, ref.out) << text;
+  EXPECT_EQ(threads.out, ref.out) << text;
+  EXPECT_EQ(ref.word_tests + ref.row_tests, 0u);
+  return words;
+}
+
+bool Renders(const NegRun& run, const std::string& needle) {
+  return run.out.find(needle) != std::string::npos;
+}
+
+Database Nodes(int n) {
+  Database db;
+  for (int i = 0; i < n; ++i) db.AddFact("n", {Value::Int(i)});
+  return db;
+}
+
+TEST(VmNegationWordPathTest, ConstantArguments) {
+  Database db = Nodes(30);
+  for (int i = 0; i < 30; ++i) {
+    if (i % 2 == 0) db.AddFact("p", {Value::Int(i), Value::Int(3)});
+    db.AddFact("p", {Value::Int(i), Value::Int(4)});
+  }
+  const std::string text =
+      "a(X) :- n(X), not p(X, 3).\n"
+      "b(X) :- n(X), not p(3, X).\n";
+  for (NegEngine engine : {NegEngine::kStratified, NegEngine::kInflationary,
+                           NegEngine::kWellFounded}) {
+    const NegRun run = ExpectNegationParity(engine, text, db);
+    EXPECT_TRUE(Renders(run, "a = {<1>, <3>, <5>,")) << run.out;
+    EXPECT_TRUE(Renders(run, "b = {<0>, <1>, <2>, <3>, <5>,")) << run.out;
+    if (ColumnarStorageEnabled()) {
+      EXPECT_GT(run.word_tests, 0u);
+    }
+  }
+}
+
+TEST(VmNegationWordPathTest, RepeatedVariable) {
+  Database db = Nodes(30);
+  for (int i = 0; i < 30; ++i) {
+    if (i % 3 == 0) db.AddFact("p", {Value::Int(i), Value::Int(i)});
+    db.AddFact("p", {Value::Int(i), Value::Int(i + 1)});
+  }
+  const NegRun run = ExpectNegationParity(
+      NegEngine::kStratified, "a(X) :- n(X), not p(X, X).", db);
+  EXPECT_TRUE(Renders(run, "a = {<1>, <2>, <4>, <5>, <7>,")) << run.out;
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(run.word_tests, 0u);
+  }
+}
+
+TEST(VmNegationWordPathTest, AtomArityDiffersFromExtentArity) {
+  // `not p(X)` against binary facts never matches (the row path's
+  // Contains); `not p(X, 1)` against the same extent takes the probe.
+  Database db = Nodes(20);
+  for (int i = 0; i < 20; i += 2) {
+    db.AddFact("p", {Value::Int(i), Value::Int(1)});
+  }
+  const NegRun run = ExpectNegationParity(NegEngine::kStratified,
+                                          "a(X) :- n(X), not p(X).\n"
+                                          "b(X) :- n(X), not p(X, 1).\n",
+                                          db);
+  EXPECT_TRUE(Renders(run, "a = {<0>, <1>, <2>,")) << run.out;
+  EXPECT_TRUE(Renders(run, "b = {<1>, <3>, <5>,")) << run.out;
+  EXPECT_GT(run.row_tests, 0u);
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(run.word_tests, 0u);
+  }
+}
+
+TEST(VmNegationWordPathTest, NonColumnarExtentTakesTheRowPath) {
+  // q holds nested values, so it has no column store; r beside it is
+  // flat and takes the probe.
+  Database db;
+  for (int i = 0; i < 20; ++i) {
+    db.AddFact("m", {Value::Pair(Value::Int(i), Value::Int(i + 1))});
+    if (i % 2 == 0) {
+      db.AddFact("q", {Value::Pair(Value::Int(i), Value::Int(i + 1))});
+    }
+    db.AddFact("k", {Value::Int(i)});
+    if (i % 4 == 0) db.AddFact("r", {Value::Int(i)});
+  }
+  const NegRun run = ExpectNegationParity(NegEngine::kWellFounded,
+                                          "a(X) :- m(X), not q(X).\n"
+                                          "b(X) :- k(X), not r(X).\n",
+                                          db);
+  EXPECT_TRUE(Renders(run, "a = {<<1, 2>>, <<3, 4>>,")) << run.out;
+  EXPECT_TRUE(Renders(run, "b = {<1>, <2>, <3>, <5>,")) << run.out;
+  EXPECT_GT(run.row_tests, 0u);
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(run.word_tests, 0u);
+  }
+}
+
+TEST(VmNegationWordPathTest, NonInlineArgumentsTakeTheRowPath) {
+  // Big ints live on the heap: a flat J cannot hold them, and the test
+  // falls back to the built tuple; small arguments still probe.
+  const int64_t big = int64_t{1} << 62;
+  Database db = Nodes(20);
+  for (int i = 0; i < 8; ++i) db.AddFact("n", {Value::Int(big + i)});
+  for (int i = 0; i < 20; i += 2) db.AddFact("p", {Value::Int(i)});
+  const NegRun run = ExpectNegationParity(NegEngine::kWellFounded,
+                                          "a(X) :- n(X), not p(X).", db);
+  EXPECT_TRUE(Renders(run, "a = {<1>, <3>,")) << run.out;
+  EXPECT_TRUE(Renders(run, "<" + std::to_string(big + 7) + ">}")) << run.out;
+  EXPECT_GT(run.row_tests, 0u);
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(run.word_tests, 0u);
+  }
+}
+
+TEST(VmNegationWordPathTest, ApplicationArgumentErrorsIdentically) {
+  Database db;
+  db.AddFact("n", {Value::Int(1)});
+  db.AddFact("n", {Value::Int(2)});
+  db.AddFact("n", {Value::Atom("foo")});
+  db.AddFact("p", {Value::Int(2)});
+  db.AddFact("g", {Value::Atom("foo"), Value::Int(1)});
+  // succ(foo) fails inside the negated atom's argument.
+  const NegRun failed = ExpectNegationParity(
+      NegEngine::kStratified, "a(X) :- n(X), not p(succ(X)).", db);
+  EXPECT_FALSE(Renders(failed, "a = ")) << failed.out;
+  // Here the negation is what keeps succ(foo) from being evaluated in
+  // the head: a wrong "absent" answer turns the model into an error.
+  const NegRun guarded = ExpectNegationParity(
+      NegEngine::kStratified, "b(succ(X)) :- n(X), not g(X, 1).", db);
+  EXPECT_TRUE(Renders(guarded, "b = {<2>, <3>}")) << guarded.out;
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(guarded.word_tests, 0u);
+  }
+}
+
+TEST(VmNegationWordPathTest, EmptyAndNullJUnderWellFoundedStepZero) {
+  // Step 0 tests against I_0 = ∅ (no interpretation at all); later
+  // steps read e from the base and `missing` has no facts anywhere.
+  Database db = Nodes(20);
+  for (int i = 0; i < 20; i += 2) db.AddFact("e", {Value::Int(i)});
+  for (int i = 0; i + 1 < 20; ++i) {
+    db.AddFact("move", {Value::Int(i), Value::Int(i + 1)});
+  }
+  const NegRun run =
+      ExpectNegationParity(NegEngine::kWellFounded,
+                           "a(X) :- n(X), not e(X).\n"
+                           "c(X) :- n(X), not missing(X).\n"
+                           "win(X) :- move(X, Y), not win(Y).\n",
+                           db);
+  EXPECT_TRUE(Renders(run, "a = {<1>, <3>,")) << run.out;
+  EXPECT_TRUE(Renders(run, "c = {<0>, <1>, <2>,")) << run.out;
+  EXPECT_TRUE(Renders(run, "win = {<0>, <2>,")) << run.out;
+  // Empty-J shortcuts count as word-level tests on every storage.
+  EXPECT_GT(run.word_tests, 0u);
+}
+
+TEST(VmNegationWordPathTest, FourThreadsProbePrebuiltIndexes) {
+  // A win-move game large enough that every round splits into
+  // partition tasks; workers probe only indexes built before fan-out.
+  Database db;
+  uint64_t x = 12345;
+  for (int i = 0; i < 400; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      db.AddFact("move", {Value::Int(i), Value::Int((x >> 33) % 400)});
+    }
+  }
+  const std::string text = "win(X) :- move(X, Y), not win(Y).";
+  const NegRun seq = ExpectNegationParity(NegEngine::kWellFounded, text, db);
+  const NegRun par =
+      RunNegation(NegEngine::kWellFounded, text, db, true, true, 4);
+  EXPECT_EQ(par.out, seq.out);
+  EXPECT_EQ(par.word_tests + par.row_tests, seq.word_tests + seq.row_tests);
+  if (ColumnarStorageEnabled()) {
+    EXPECT_GT(par.word_tests, 0u);
+    EXPECT_EQ(par.row_tests, 0u);
+  }
 }
 
 }  // namespace
